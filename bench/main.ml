@@ -1322,7 +1322,7 @@ let section_perf () =
     no_fault_equivalent e21_recovered;
   Table.print fault_table;
   Printf.printf
-    "\nselection policies (flash crowd, halves swap at t=450): deprecated alias == \
+    "\nselection policies (flash crowd, halves swap at t=450): explicit default spec == \
      default: %b; adaptive beats static TTL post-shift: %b (cache budget %d keys)\n"
     policy_default_equivalent policy_adaptive_beats_static race_budget;
   Table.print policy_table;

@@ -4,27 +4,28 @@
    calls it once per walk step / flood visit, so it must not chase a
    tree — a binary search over a short sorted int array stays in one
    cache line.  The per-peer inverse view is the compact growable
-   variant of the same idea: one sorted int array per peer
-   ([peer_items] prefix of length [peer_len], doubling capacity), ~2
-   words per holding instead of a balanced-tree node, so a million-peer
-   placement is dominated by the ids themselves. *)
+   variant of the same idea: one sorted int array per peer ([items]
+   prefix of length [len], doubling capacity), ~2 words per holding.
+   Only crash faults ([remove_peer]) and [items_at] read it, so it is
+   built on first use by one counting pass over [by_item] and
+   maintained incrementally from then on; placement alone never pays
+   for it. *)
+type inverse = {
+  items : int array array; (* peer -> sorted items, prefix of len *)
+  len : int array;
+}
+
 type t = {
   total_peers : int;
   mutable by_item : int array array; (* item -> sorted replicas; [||] = absent *)
-  peer_items : int array array; (* peer -> sorted items, prefix of peer_len *)
-  peer_len : int array;
+  mutable inverse : inverse option;
 }
 
 let no_replicas : int array = [||]
 
 let create ~peers =
   if peers < 1 then invalid_arg "Replication.create: need >= 1 peer";
-  {
-    total_peers = peers;
-    by_item = Array.make 64 no_replicas;
-    peer_items = Array.make peers no_replicas;
-    peer_len = Array.make peers 0;
-  }
+  { total_peers = peers; by_item = Array.make 64 no_replicas; inverse = None }
 
 let peers t = t.total_peers
 
@@ -40,11 +41,33 @@ let ensure_item t item =
 let replicas_of t item =
   if item < 0 || item >= Array.length t.by_item then no_replicas else t.by_item.(item)
 
+(* Items are visited in ascending order, so each peer's row comes out
+   sorted. *)
+let inverse t =
+  match t.inverse with
+  | Some inv -> inv
+  | None ->
+      let len = Array.make t.total_peers 0 in
+      Array.iter (Array.iter (fun p -> len.(p) <- len.(p) + 1)) t.by_item;
+      let items = Array.map (fun n -> if n = 0 then no_replicas else Array.make n 0) len in
+      Array.fill len 0 t.total_peers 0;
+      Array.iteri
+        (fun item reps ->
+          Array.iter
+            (fun p ->
+              items.(p).(len.(p)) <- item;
+              len.(p) <- len.(p) + 1)
+            reps)
+        t.by_item;
+      let inv = { items; len } in
+      t.inverse <- Some inv;
+      inv
+
 (* Position of [item] in [peer]'s sorted holdings, or the insertion
    point encoded as [-(pos + 1)] when absent. *)
-let peer_find t peer item =
-  let arr = t.peer_items.(peer) in
-  let lo = ref 0 and hi = ref (t.peer_len.(peer) - 1) in
+let peer_find inv peer item =
+  let arr = inv.items.(peer) in
+  let lo = ref 0 and hi = ref (inv.len.(peer) - 1) in
   let res = ref min_int in
   while !res = min_int && !lo <= !hi do
     let mid = (!lo + !hi) lsr 1 in
@@ -55,39 +78,39 @@ let peer_find t peer item =
   done;
   if !res = min_int then -(!lo + 1) else !res
 
-let peer_add t peer item =
-  let pos = peer_find t peer item in
+let peer_add inv peer item =
+  let pos = peer_find inv peer item in
   if pos < 0 then begin
     let at = -pos - 1 in
-    let len = t.peer_len.(peer) in
-    let arr = t.peer_items.(peer) in
+    let len = inv.len.(peer) in
+    let arr = inv.items.(peer) in
     let arr =
       if len = Array.length arr then begin
         let grown = Array.make (max 4 (2 * len)) 0 in
         Array.blit arr 0 grown 0 len;
-        t.peer_items.(peer) <- grown;
+        inv.items.(peer) <- grown;
         grown
       end
       else arr
     in
     Array.blit arr at arr (at + 1) (len - at);
     arr.(at) <- item;
-    t.peer_len.(peer) <- len + 1
+    inv.len.(peer) <- len + 1
   end
 
-let peer_remove t peer item =
-  let pos = peer_find t peer item in
+let peer_remove inv peer item =
+  let pos = peer_find inv peer item in
   if pos >= 0 then begin
-    let len = t.peer_len.(peer) in
-    let arr = t.peer_items.(peer) in
+    let len = inv.len.(peer) in
+    let arr = inv.items.(peer) in
     Array.blit arr (pos + 1) arr pos (len - pos - 1);
-    t.peer_len.(peer) <- len - 1
+    inv.len.(peer) <- len - 1
   end
 
 let remove t ~item =
   let reps = replicas_of t item in
   if Array.length reps > 0 then begin
-    Array.iter (fun p -> peer_remove t p item) reps;
+    Option.iter (fun inv -> Array.iter (fun p -> peer_remove inv p item) reps) t.inverse;
     t.by_item.(item) <- no_replicas
   end
 
@@ -97,11 +120,10 @@ let place_on t ~item ~replicas =
     replicas;
   ensure_item t item;
   remove t ~item;
-  (* Sort a copy and drop duplicates in place — same sorted distinct
-     set the old Int_set round-trip produced. *)
+  (* Sort a copy and drop duplicates in place. *)
   let reps =
     let sorted = Array.copy replicas in
-    Array.sort compare sorted;
+    Array.stable_sort Int.compare sorted;
     let n = Array.length sorted in
     let distinct = ref 0 in
     for i = 0 to n - 1 do
@@ -113,12 +135,13 @@ let place_on t ~item ~replicas =
     if !distinct = n then sorted else Array.sub sorted 0 !distinct
   in
   t.by_item.(item) <- reps;
-  Array.iter (fun p -> peer_add t p item) reps
+  Option.iter (fun inv -> Array.iter (fun p -> peer_add inv p item) reps) t.inverse
 
 let remove_peer t ~peer =
   if peer < 0 || peer >= t.total_peers then invalid_arg "Replication.remove_peer: bad peer";
-  let items = t.peer_items.(peer) in
-  let n = t.peer_len.(peer) in
+  let inv = inverse t in
+  let items = inv.items.(peer) in
+  let n = inv.len.(peer) in
   for i = 0 to n - 1 do
     let item = items.(i) in
     let reps = t.by_item.(item) in
@@ -135,7 +158,7 @@ let remove_peer t ~peer =
        full and still sorted. *)
     t.by_item.(item) <- (if Array.length kept = 0 then no_replicas else kept)
   done;
-  t.peer_len.(peer) <- 0;
+  inv.len.(peer) <- 0;
   n
 
 let place t rng ~item ~repl =
@@ -159,7 +182,9 @@ let holds t ~peer ~item =
   done;
   !found
 
-let items_at t ~peer = Array.to_list (Array.sub t.peer_items.(peer) 0 t.peer_len.(peer))
+let items_at t ~peer =
+  let inv = inverse t in
+  Array.to_list (Array.sub inv.items.(peer) 0 inv.len.(peer))
 let replication_factor t ~item = Array.length (replicas t ~item)
 
 let availability t ~online ~item =

@@ -1,12 +1,8 @@
-module Int_set = Set.Make (Int)
-
 (* CSR adjacency: [neighbors.(offsets.(p) .. offsets.(p+1) - 1)] are
    peer [p]'s neighbors in ascending order — two flat int arrays for
    the whole graph instead of a boxed array per peer, so a million-peer
    topology is ~2 words per directed edge with no per-peer headers.
-   Topologies are build-once static; the Int_set accumulation below is
-   construction-only scaffolding (its membership gating also fixes the
-   RNG draw sequence, so it must not change shape). *)
+   Topologies are build-once static. *)
 type t = { offsets : int array; neighbors : int array; edges : int }
 
 let peer_count t = Array.length t.offsets - 1
@@ -21,34 +17,98 @@ let iter_neighbors t p ~f =
 let neighbors t p = Array.sub t.neighbors t.offsets.(p) (degree t p)
 let edge_count t = t.edges
 
-let of_edge_sets sets =
-  let peers = Array.length sets in
+(* Construction scratch shared by every generator: accepted undirected
+   edges in generation order, plus what the generators that draw
+   peer-by-peer need to gate a draw on "already adjacent".  Peer [p]'s
+   adjacency at the start of its turn is exactly the lower peers that
+   connected to it during their own turns; [head]/[next] thread those
+   edges into one list per higher endpoint, and [begin_turn] stamps
+   them into [mark], so [mark.(q) = p] iff [q] is adjacent to [p] while
+   it is [p]'s turn.  [capacity] must bound the number of edges. *)
+type builder = {
+  src : int array;
+  dst : int array;
+  next : int array; (* edge -> next edge opened to the same higher peer, or -1 *)
+  head : int array; (* peer -> last edge a lower peer opened to it, or -1 *)
+  mark : int array;
+  mutable count : int;
+}
+
+let builder ~peers ~capacity =
+  {
+    src = Array.make capacity 0;
+    dst = Array.make capacity 0;
+    next = Array.make capacity (-1);
+    head = Array.make peers (-1);
+    mark = Array.make peers (-1);
+    count = 0;
+  }
+
+let begin_turn b p =
+  let e = ref b.head.(p) in
+  while !e >= 0 do
+    b.mark.(b.src.(!e)) <- p;
+    e := b.next.(!e)
+  done
+
+let adjacent b p q = b.mark.(q) = p
+
+(* Record the new edge (p, q) during [p]'s turn; callers never repeat
+   an edge, so rows come out duplicate-free. *)
+let connect b p q =
+  let e = b.count in
+  b.src.(e) <- p;
+  b.dst.(e) <- q;
+  b.mark.(q) <- p;
+  if q > p then begin
+    b.next.(e) <- b.head.(q);
+    b.head.(q) <- e
+  end;
+  b.count <- e + 1
+
+(* Counting sort of both edge directions into CSR rows, then an
+   insertion sort per row: rows are short and arrive nearly ascending
+   (lower openers first, in turn order). *)
+let freeze ~peers b =
   let offsets = Array.make (peers + 1) 0 in
-  for p = 0 to peers - 1 do
-    offsets.(p + 1) <- offsets.(p) + Int_set.cardinal sets.(p)
+  for e = 0 to b.count - 1 do
+    let s = b.src.(e) + 1 and d = b.dst.(e) + 1 in
+    offsets.(s) <- offsets.(s) + 1;
+    offsets.(d) <- offsets.(d) + 1
   done;
-  let neighbors = Array.make (max 1 offsets.(peers)) 0 in
   for p = 0 to peers - 1 do
-    let i = ref offsets.(p) in
-    (* Int_set.iter is ascending, matching the sorted per-peer arrays
-       this layout replaced. *)
-    Int_set.iter
-      (fun q ->
-        neighbors.(!i) <- q;
-        incr i)
-      sets.(p)
+    offsets.(p + 1) <- offsets.(p + 1) + offsets.(p)
   done;
-  { offsets; neighbors; edges = offsets.(peers) / 2 }
+  let fill = Array.sub offsets 0 peers in
+  let neighbors = Array.make offsets.(peers) 0 in
+  let put a q =
+    neighbors.(fill.(a)) <- q;
+    fill.(a) <- fill.(a) + 1
+  in
+  for e = 0 to b.count - 1 do
+    put b.src.(e) b.dst.(e);
+    put b.dst.(e) b.src.(e)
+  done;
+  for p = 0 to peers - 1 do
+    let first = offsets.(p) in
+    for i = first + 1 to offsets.(p + 1) - 1 do
+      let v = neighbors.(i) in
+      let j = ref (i - 1) in
+      while !j >= first && neighbors.(!j) > v do
+        neighbors.(!j + 1) <- neighbors.(!j);
+        decr j
+      done;
+      neighbors.(!j + 1) <- v
+    done
+  done;
+  { offsets; neighbors; edges = b.count }
 
 let random_regularish rng ~peers ~degree =
   if peers < 2 then invalid_arg "Topology.random_regularish: need >= 2 peers";
   if degree < 1 || degree >= peers then invalid_arg "Topology.random_regularish: bad degree";
-  let sets = Array.make peers Int_set.empty in
-  let connect a b =
-    sets.(a) <- Int_set.add b sets.(a);
-    sets.(b) <- Int_set.add a sets.(b)
-  in
+  let b = builder ~peers ~capacity:(peers * degree) in
   for p = 0 to peers - 1 do
+    begin_turn b p;
     let opened = ref 0 in
     let attempts = ref 0 in
     (* A peer may fail to open all connections in a tiny network where
@@ -56,21 +116,17 @@ let random_regularish rng ~peers ~degree =
     while !opened < degree && !attempts < 20 * degree do
       incr attempts;
       let q = Pdht_util.Rng.int rng peers in
-      if q <> p && not (Int_set.mem q sets.(p)) then begin
-        connect p q;
+      if q <> p && not (adjacent b p q) then begin
+        connect b p q;
         incr opened
       end
     done
   done;
-  of_edge_sets sets
+  freeze ~peers b
 
 let barabasi_albert rng ~peers ~attach =
   if attach < 1 || peers <= attach then invalid_arg "Topology.barabasi_albert: need peers > attach >= 1";
-  let sets = Array.make peers Int_set.empty in
-  let connect a b =
-    sets.(a) <- Int_set.add b sets.(a);
-    sets.(b) <- Int_set.add a sets.(b)
-  in
+  let b = builder ~peers ~capacity:((attach * (attach + 1) / 2) + ((peers - attach - 1) * attach)) in
   (* Endpoint multiset: picking a uniform element is picking a node with
      probability proportional to its degree.  Stored in a growable array
      so sampling stays O(1) as the graph grows. *)
@@ -83,69 +139,80 @@ let barabasi_albert rng ~peers ~attach =
   in
   (* Seed: a small clique over the first attach+1 peers. *)
   for a = 0 to attach do
-    for b = a + 1 to attach do
-      connect a b;
+    for c = a + 1 to attach do
+      connect b a c;
       push a;
-      push b
+      push c
     done
   done;
+  (* Distinct targets of the arriving peer, kept ascending: that order
+     decides the [endpoints] push order, hence later draws. *)
+  let chosen = Array.make attach 0 in
   for p = attach + 1 to peers - 1 do
-    let chosen = ref Int_set.empty in
+    let len = ref 0 in
     let tries = ref 0 in
-    while Int_set.cardinal !chosen < attach && !tries < 50 * attach do
+    while !len < attach && !tries < 50 * attach do
       incr tries;
       let target = endpoints.(Pdht_util.Rng.int rng !endpoint_count) in
-      if target <> p then chosen := Int_set.add target !chosen
+      if target <> p then begin
+        let i = ref 0 in
+        while !i < !len && chosen.(!i) < target do
+          incr i
+        done;
+        if !i = !len || chosen.(!i) <> target then begin
+          Array.blit chosen !i chosen (!i + 1) (!len - !i);
+          chosen.(!i) <- target;
+          incr len
+        end
+      end
     done;
-    Int_set.iter
-      (fun q ->
-        connect p q;
-        push p;
-        push q)
-      !chosen
+    for i = 0 to !len - 1 do
+      connect b p chosen.(i);
+      push p;
+      push chosen.(i)
+    done
   done;
-  of_edge_sets sets
+  freeze ~peers b
 
 let ring_lattice ~peers ~k =
   if peers < 3 then invalid_arg "Topology.ring_lattice: need >= 3 peers";
   if k < 1 || 2 * k >= peers then invalid_arg "Topology.ring_lattice: bad k";
-  let sets = Array.make peers Int_set.empty in
+  (* [2k < peers] makes every (p, p+d) pair distinct. *)
+  let b = builder ~peers ~capacity:(peers * k) in
   for p = 0 to peers - 1 do
     for d = 1 to k do
-      let q = (p + d) mod peers in
-      sets.(p) <- Int_set.add q sets.(p);
-      sets.(q) <- Int_set.add p sets.(q)
+      connect b p ((p + d) mod peers)
     done
   done;
-  of_edge_sets sets
+  freeze ~peers b
 
 let watts_strogatz rng ~peers ~k ~beta =
   if peers < 3 then invalid_arg "Topology.watts_strogatz: need >= 3 peers";
   if k < 1 || 2 * k >= peers then invalid_arg "Topology.watts_strogatz: bad k";
   if beta < 0. || beta > 1. then invalid_arg "Topology.watts_strogatz: beta outside [0,1]";
-  let sets = Array.make peers Int_set.empty in
-  let connect a b =
-    sets.(a) <- Int_set.add b sets.(a);
-    sets.(b) <- Int_set.add a sets.(b)
-  in
+  let b = builder ~peers ~capacity:(peers * k) in
   for p = 0 to peers - 1 do
+    begin_turn b p;
     for d = 1 to k do
       let q = (p + d) mod peers in
-      if Pdht_util.Rng.bernoulli rng ~p:beta then begin
-        (* Rewire the lattice edge (p, q) to a random endpoint that
-           creates neither a self-loop nor a duplicate. *)
-        let rec fresh tries =
-          if tries = 0 then q (* dense corner: keep the lattice edge *)
-          else
-            let r = Pdht_util.Rng.int rng peers in
-            if r = p || Int_set.mem r sets.(p) then fresh (tries - 1) else r
-        in
-        connect p (fresh 20)
-      end
-      else connect p q
+      let target =
+        if Pdht_util.Rng.bernoulli rng ~p:beta then
+          (* Rewire the lattice edge (p, q) to a random endpoint that
+             creates neither a self-loop nor a duplicate. *)
+          let rec fresh tries =
+            if tries = 0 then q (* dense corner: keep the lattice edge *)
+            else
+              let r = Pdht_util.Rng.int rng peers in
+              if r = p || adjacent b p r then fresh (tries - 1) else r
+          in
+          fresh 20
+        else q
+      in
+      (* An earlier rewire may already have produced the lattice edge. *)
+      if not (adjacent b p target) then connect b p target
     done
   done;
-  of_edge_sets sets
+  freeze ~peers b
 
 let bfs_reach t ~online start =
   let n = peer_count t in

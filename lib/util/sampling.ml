@@ -18,21 +18,44 @@ let sample_without_replacement rng ~k ~n =
   (* Sparse partial Fisher-Yates: O(k) time and space instead of
      materialising the whole [0..n-1] pool (which made every caller pay
      O(n) — ruinous when P-Grid construction samples references out of
-     half the population per peer).  [displaced] records only the
-     positions the virtual pool differs from the identity at; draws and
-     output are index-for-index identical to shuffling the real pool. *)
-  let displaced = Hashtbl.create (2 * k + 1) in
-  let get i = match Hashtbl.find_opt displaced i with Some v -> v | None -> i in
-  let out = Array.make (max k 1) 0 in
+     half the population per peer).  The open-addressed table
+     [keys]/[vals] records only the positions the virtual pool differs
+     from the identity at (at most k, load <= 1/2, linear probing, no
+     deletions); draws and output are index-for-index identical to
+     shuffling the real pool. *)
+  let slots =
+    let s = ref 4 in
+    while !s < 2 * k do
+      s := 2 * !s
+    done;
+    !s
+  in
+  let mask = slots - 1 in
+  let keys = Array.make slots (-1) in
+  let vals = Array.make slots 0 in
+  (* Slot holding position [i], or the empty slot it would take;
+     Fibonacci hashing, as in the DHT stores. *)
+  let slot i =
+    let h = i * 0x2545F4914F6CDD1D in
+    let pos = ref ((h lxor (h lsr 29)) land mask) in
+    while keys.(!pos) <> i && keys.(!pos) >= 0 do
+      pos := (!pos + 1) land mask
+    done;
+    !pos
+  in
+  let out = Array.make k 0 in
   for i = 0 to k - 1 do
     let j = Rng.int_in_range rng ~lo:i ~hi:(n - 1) in
-    let vi = get i and vj = get j in
-    out.(i) <- vj;
+    let si = slot i in
+    let vi = if keys.(si) < 0 then i else vals.(si) in
+    let sj = slot j in
+    out.(i) <- (if keys.(sj) < 0 then j else vals.(sj));
     (* Position [i] is never read again (future draws live in
        [i+1, n-1]), so only [j]'s displacement needs recording. *)
-    Hashtbl.replace displaced j vi
+    keys.(sj) <- j;
+    vals.(sj) <- vi
   done;
-  if k = Array.length out then out else Array.sub out 0 k
+  out
 
 let reservoir rng ~k seq =
   if k < 0 then invalid_arg "Sampling.reservoir";

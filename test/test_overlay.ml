@@ -320,6 +320,21 @@ let test_replication_availability () =
   Alcotest.(check (float 1e-9)) "unplaced item" 0.
     (Replication.availability r ~online ~item:99)
 
+(* The per-peer inverse is built on first read; [remove_peer] must see
+   the same holdings whether it builds it or finds it maintained. *)
+let test_replication_remove_peer () =
+  let r = Replication.create ~peers:10 in
+  Replication.place_on r ~item:1 ~replicas:[| 3; 4 |];
+  Replication.place_on r ~item:2 ~replicas:[| 3 |];
+  Alcotest.(check int) "first read builds the inverse" 2 (Replication.remove_peer r ~peer:3);
+  Alcotest.(check (array int)) "item 1 keeps 4" [| 4 |] (Replication.replicas r ~item:1);
+  Alcotest.(check (array int)) "item 2 unplaced" [||] (Replication.replicas r ~item:2);
+  Replication.place_on r ~item:5 ~replicas:[| 7; 4; 4 |];
+  Alcotest.(check (list int)) "maintained after place_on" [ 1; 5 ] (Replication.items_at r ~peer:4);
+  Alcotest.(check int) "maintained inverse" 2 (Replication.remove_peer r ~peer:4);
+  Alcotest.(check (array int)) "item 5 keeps 7" [| 7 |] (Replication.replicas r ~item:5);
+  Alcotest.(check (list int)) "nothing left at 4" [] (Replication.items_at r ~peer:4)
+
 (* ------------------------------------------------------------------ *)
 (* Unified search *)
 
@@ -397,11 +412,252 @@ let test_search_mismatched_sizes_rejected () =
       ignore (Search.create ~topology ~replication ~strategy:(Search.Flooding { ttl = 2 })))
 
 (* ------------------------------------------------------------------ *)
+(* Reference generators: the per-peer Int_set construction the flat
+   edge-list builder replaced.  Its membership gating fixes the RNG draw
+   sequence, so the library must reproduce these adjacencies exactly and
+   leave the generator in the same state. *)
+
+module Reference_topology = struct
+  module Int_set = Set.Make (Int)
+
+  let connect sets a b =
+    sets.(a) <- Int_set.add b sets.(a);
+    sets.(b) <- Int_set.add a sets.(b)
+
+  let random_regularish rng ~peers ~degree =
+    let sets = Array.make peers Int_set.empty in
+    for p = 0 to peers - 1 do
+      let opened = ref 0 in
+      let attempts = ref 0 in
+      while !opened < degree && !attempts < 20 * degree do
+        incr attempts;
+        let q = Rng.int rng peers in
+        if q <> p && not (Int_set.mem q sets.(p)) then begin
+          connect sets p q;
+          incr opened
+        end
+      done
+    done;
+    sets
+
+  let barabasi_albert rng ~peers ~attach =
+    let sets = Array.make peers Int_set.empty in
+    let endpoints = Array.make (2 * ((attach * peers) + (attach * attach))) 0 in
+    let endpoint_count = ref 0 in
+    let push p =
+      endpoints.(!endpoint_count) <- p;
+      incr endpoint_count
+    in
+    for a = 0 to attach do
+      for b = a + 1 to attach do
+        connect sets a b;
+        push a;
+        push b
+      done
+    done;
+    for p = attach + 1 to peers - 1 do
+      let chosen = ref Int_set.empty in
+      let tries = ref 0 in
+      while Int_set.cardinal !chosen < attach && !tries < 50 * attach do
+        incr tries;
+        let target = endpoints.(Rng.int rng !endpoint_count) in
+        if target <> p then chosen := Int_set.add target !chosen
+      done;
+      Int_set.iter
+        (fun q ->
+          connect sets p q;
+          push p;
+          push q)
+        !chosen
+    done;
+    sets
+
+  let ring_lattice ~peers ~k =
+    let sets = Array.make peers Int_set.empty in
+    for p = 0 to peers - 1 do
+      for d = 1 to k do
+        connect sets p ((p + d) mod peers)
+      done
+    done;
+    sets
+
+  let watts_strogatz rng ~peers ~k ~beta =
+    let sets = Array.make peers Int_set.empty in
+    for p = 0 to peers - 1 do
+      for d = 1 to k do
+        let q = (p + d) mod peers in
+        if Rng.bernoulli rng ~p:beta then begin
+          let rec fresh tries =
+            if tries = 0 then q
+            else
+              let r = Rng.int rng peers in
+              if r = p || Int_set.mem r sets.(p) then fresh (tries - 1) else r
+          in
+          connect sets p (fresh 20)
+        end
+        else connect sets p q
+      done
+    done;
+    sets
+
+  let rows sets = Array.map (fun s -> Array.of_list (Int_set.elements s)) sets
+  let edges sets = Array.fold_left (fun acc s -> acc + Int_set.cardinal s) 0 sets / 2
+end
+
+(* Same adjacency rows, same edge count, and the same RNG state after
+   construction. *)
+let same_topology ~seed build reference =
+  let rng = Rng.create ~seed and ref_rng = Rng.create ~seed in
+  let t = build rng in
+  let sets = reference ref_rng in
+  Topology.peer_count t = Array.length sets
+  && Array.init (Topology.peer_count t) (Topology.neighbors t) = Reference_topology.rows sets
+  && Topology.edge_count t = Reference_topology.edges sets
+  && Rng.bits64 rng = Rng.bits64 ref_rng
+
+(* Tiny, dense graphs: the [20 x degree] retry cap (random graph) and
+   the 20-try rewire fallback (small world) both bite here. *)
+let test_topology_dense_corners () =
+  for seed = 0 to 199 do
+    let check name ok = Alcotest.(check bool) (Printf.sprintf "%s seed %d" name seed) true ok in
+    check "random 5/4"
+      (same_topology ~seed
+         (fun rng -> Topology.random_regularish rng ~peers:5 ~degree:4)
+         (fun rng -> Reference_topology.random_regularish rng ~peers:5 ~degree:4));
+    check "random 2/1"
+      (same_topology ~seed
+         (fun rng -> Topology.random_regularish rng ~peers:2 ~degree:1)
+         (fun rng -> Reference_topology.random_regularish rng ~peers:2 ~degree:1));
+    check "barabasi 3/2"
+      (same_topology ~seed
+         (fun rng -> Topology.barabasi_albert rng ~peers:3 ~attach:2)
+         (fun rng -> Reference_topology.barabasi_albert rng ~peers:3 ~attach:2));
+    check "watts 5/2/1.0"
+      (same_topology ~seed
+         (fun rng -> Topology.watts_strogatz rng ~peers:5 ~k:2 ~beta:1.)
+         (fun rng -> Reference_topology.watts_strogatz rng ~peers:5 ~k:2 ~beta:1.))
+  done
+
+(* Replication state machine: random operation sequences against a
+   naive item -> sorted replica list model.  Peer and item operands are
+   raw draws reduced modulo the population. *)
+
+type replication_op =
+  | Place of int * int (* item, repl *)
+  | Place_on of int * int list
+  | Remove of int
+  | Remove_peer of int
+  | Items_at of int
+
+let replication_items = 8
+
+let replication_op_to_string = function
+  | Place (i, k) -> Printf.sprintf "place %d repl %d" i k
+  | Place_on (i, ps) ->
+      Printf.sprintf "place_on %d [%s]" i (String.concat ";" (List.map string_of_int ps))
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Remove_peer p -> Printf.sprintf "remove_peer %d" p
+  | Items_at p -> Printf.sprintf "items_at %d" p
+
+let replication_scenario =
+  let open QCheck.Gen in
+  let item = int_bound (replication_items - 1) and peer = int_bound 40 in
+  let op =
+    frequency
+      [
+        (4, map2 (fun i k -> Place (i, k)) item (int_range 1 16));
+        (3, map2 (fun i ps -> Place_on (i, ps)) item (list_size (int_bound 6) peer));
+        (1, map (fun i -> Remove i) item);
+        (2, map (fun p -> Remove_peer p) peer);
+        (2, map (fun p -> Items_at p) peer);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (peers, seed, ops) ->
+      Printf.sprintf "peers %d seed %d: %s" peers seed
+        (String.concat ", " (List.map replication_op_to_string ops)))
+    (triple (int_range 1 12) small_nat (list_size (int_bound 40) op))
+
+let replication_matches_model (peers, seed, ops) =
+  let rng = Rng.create ~seed and model_rng = Rng.create ~seed in
+  let r = Replication.create ~peers in
+  let model = Array.make replication_items [] in
+  let held_by p =
+    List.filter (fun item -> List.mem p model.(item)) (List.init replication_items Fun.id)
+  in
+  let step op =
+    match op with
+    | Place (item, repl) ->
+        Replication.place r rng ~item ~repl;
+        model.(item) <-
+          List.sort compare
+            (Array.to_list
+               (Pdht_util.Sampling.sample_without_replacement model_rng ~k:(min repl peers)
+                  ~n:peers));
+        true
+    | Place_on (item, ps) ->
+        let ps = List.map (fun p -> p mod peers) ps in
+        Replication.place_on r ~item ~replicas:(Array.of_list ps);
+        model.(item) <- List.sort_uniq compare ps;
+        true
+    | Remove item ->
+        Replication.remove r ~item;
+        model.(item) <- [];
+        true
+    | Remove_peer p ->
+        let p = p mod peers in
+        let expected = List.length (held_by p) in
+        Array.iteri (fun item reps -> model.(item) <- List.filter (( <> ) p) reps) model;
+        Replication.remove_peer r ~peer:p = expected
+    | Items_at p -> Replication.items_at r ~peer:(p mod peers) = held_by (p mod peers)
+  in
+  (* The per-step check reads only the item side, so it never builds
+     the inverse early. *)
+  let consistent () =
+    List.for_all
+      (fun item ->
+        Array.to_list (Replication.replicas r ~item) = model.(item)
+        && List.for_all
+             (fun p -> Replication.holds r ~peer:p ~item = List.mem p model.(item))
+             (List.init peers Fun.id))
+      (List.init replication_items Fun.id)
+  in
+  List.for_all (fun op -> step op && consistent ()) ops
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"random_regularish == Int_set reference" ~count:300
+      (triple small_int (int_range 2 120) (int_range 0 1000))
+      (fun (seed, peers, d) ->
+        let degree = 1 + (d mod min 8 (peers - 1)) in
+        same_topology ~seed
+          (fun rng -> Topology.random_regularish rng ~peers ~degree)
+          (fun rng -> Reference_topology.random_regularish rng ~peers ~degree));
+    Test.make ~name:"barabasi_albert == Int_set reference" ~count:300
+      (triple small_int (int_range 2 120) (int_range 0 1000))
+      (fun (seed, peers, a) ->
+        let attach = 1 + (a mod min 6 (peers - 1)) in
+        same_topology ~seed
+          (fun rng -> Topology.barabasi_albert rng ~peers ~attach)
+          (fun rng -> Reference_topology.barabasi_albert rng ~peers ~attach));
+    Test.make ~name:"ring_lattice == Int_set reference" ~count:200
+      (pair (int_range 3 120) (int_range 0 1000))
+      (fun (peers, k) ->
+        let k = 1 + (k mod ((peers - 1) / 2)) in
+        same_topology ~seed:0
+          (fun _ -> Topology.ring_lattice ~peers ~k)
+          (fun _ -> Reference_topology.ring_lattice ~peers ~k));
+    Test.make ~name:"watts_strogatz == Int_set reference" ~count:300
+      (quad small_int (int_range 3 120) (int_range 0 1000) (float_bound_inclusive 1.))
+      (fun (seed, peers, k, beta) ->
+        let k = 1 + (k mod min 6 ((peers - 1) / 2)) in
+        same_topology ~seed
+          (fun rng -> Topology.watts_strogatz rng ~peers ~k ~beta)
+          (fun rng -> Reference_topology.watts_strogatz rng ~peers ~k ~beta));
     Test.make ~name:"flood never exceeds 2E messages" ~count:50
       (pair (int_range 10 80) small_int)
       (fun (peers, seed) ->
@@ -419,6 +675,8 @@ let qcheck_tests =
             .Flood.peers_reached
         in
         reach 1 <= reach 2 && reach 2 <= reach 4 && reach 4 <= reach peers);
+    Test.make ~name:"replication == naive model over op sequences" ~count:500
+      replication_scenario replication_matches_model;
     Test.make ~name:"replication places exactly min(repl,peers) distinct" ~count:100
       (triple (int_range 1 50) (int_range 1 80) small_int)
       (fun (repl, peers, seed) ->
@@ -499,6 +757,7 @@ let () =
           Alcotest.test_case "connected fraction offline" `Quick test_connected_fraction_with_offline;
           Alcotest.test_case "watts-strogatz regimes" `Quick test_watts_strogatz_regimes;
           Alcotest.test_case "watts-strogatz validation" `Quick test_watts_strogatz_validation;
+          Alcotest.test_case "dense corners match reference" `Quick test_topology_dense_corners;
         ] );
       ( "expanding-ring",
         [
@@ -532,6 +791,7 @@ let () =
           Alcotest.test_case "remove" `Quick test_replication_remove;
           Alcotest.test_case "repl capped" `Quick test_replication_repl_capped_at_peers;
           Alcotest.test_case "items_at" `Quick test_replication_items_at;
+          Alcotest.test_case "remove_peer" `Quick test_replication_remove_peer;
           Alcotest.test_case "availability" `Quick test_replication_availability;
         ] );
       ( "search",

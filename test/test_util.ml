@@ -484,6 +484,25 @@ let test_flags_reports_every_conflict () =
 let qcheck_tests =
   let open QCheck in
   [
+    (* The sparse sampler claims index-for-index identity with a dense
+       partial Fisher-Yates over the materialised pool; its callers
+       (Replication, Pgrid, the fault Injector) rely on that draw
+       sequence for reproducible placements. *)
+    Test.make ~name:"sample_without_replacement = dense Fisher-Yates prefix" ~count:500
+      (triple small_int (int_range 0 2000) (int_range 0 2000))
+      (fun (seed, n, k) ->
+        let k = k mod (n + 1) in
+        let sparse_rng = Rng.create ~seed in
+        let dense_rng = Rng.create ~seed in
+        let sparse = Sampling.sample_without_replacement sparse_rng ~k ~n in
+        let pool = Array.init n Fun.id in
+        for i = 0 to k - 1 do
+          let j = Rng.int_in_range dense_rng ~lo:i ~hi:(n - 1) in
+          let tmp = pool.(i) in
+          pool.(i) <- pool.(j);
+          pool.(j) <- tmp
+        done;
+        sparse = Array.sub pool 0 k && Rng.bits64 sparse_rng = Rng.bits64 dense_rng);
     Test.make ~name:"rng int always within bound" ~count:500
       (pair small_int (int_range 1 1000))
       (fun (seed, bound) ->

@@ -62,10 +62,11 @@ grep -q '"fault_recovered": *true' BENCH_pdht.json
 echo "== selection policy gate =="
 # The perf section raced the selection policies (same JSON).  Two
 # contracts: (1) the default [Ttl Model_derived] policy must be
-# indistinguishable from the pre-policy system — the deprecated
-# ttl_policy alias reproduces it field for field and installs no
-# selector — and (2) in the E23 flash-crowd race at least one adaptive
-# policy must beat the static model-derived TTL on post-shift cost.
+# indistinguishable from the pre-policy system — passing it explicitly
+# through [Options.with_selection_policy] reproduces the default report
+# field for field and installs no selector — and (2) in the E23
+# flash-crowd race at least one adaptive policy must beat the static
+# model-derived TTL on post-shift cost.
 grep -q '"policy_default_equivalent": *true' BENCH_pdht.json
 grep -q '"policy_adaptive_beats_static": *true' BENCH_pdht.json
 grep -q '"policy_race"' BENCH_pdht.json
