@@ -1430,56 +1430,23 @@ let peak_rss_mb () =
       close_in ic;
       mb
 
-let contains_substring haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
-  at 0
-
-(* Merge ["KEY": ...] into an existing single-line BENCH_pdht.json
-   object (the [perf] section's output); start a fresh object when the
-   file is missing or malformed.  A previous block under the same key
-   is dropped first — together with everything after it, so splice
-   sections in a fixed order (perf writes the base; scale, then churn,
-   append) and reruns replace rather than duplicate. *)
+(* Set ["KEY": ...] in BENCH_pdht.json (the [perf] section's output):
+   parse the file, replace the member in place or append it, print it
+   back.  Every other block survives, in order, so sections can be
+   rerun alone in any order.  A missing or malformed file starts a
+   fresh object. *)
 let splice_section_json path ~key json_value =
+  let module Json = Pdht_obs.Json in
   let base =
     if Sys.file_exists path then (
       let ic = open_in_bin path in
       let s = really_input_string ic (in_channel_length ic) in
       close_in ic;
-      String.trim s)
-    else ""
-  in
-  let marker = "\"" ^ key ^ "\":" in
-  let base =
-    let m = String.length marker and len = String.length base in
-    let rec find i = if i + m > len then -1 else if String.sub base i m = marker then i else find (i + 1) in
-    match find 0 with
-    | -1 -> base
-    | p ->
-        let pre = String.trim (String.sub base 0 p) in
-        let pre =
-          let l = String.length pre in
-          if l > 0 && pre.[l - 1] = ',' then String.trim (String.sub pre 0 (l - 1)) else pre
-        in
-        if pre = "{" then "{}" else pre ^ "}"
-  in
-  let value_str = Pdht_obs.Json.to_string json_value in
-  let len = String.length base in
-  let merged =
-    if
-      len >= 2
-      && base.[0] = '{'
-      && base.[len - 1] = '}'
-      && not (contains_substring base marker)
-    then
-      String.sub base 0 (len - 1)
-      ^ (if String.trim (String.sub base 1 (len - 2)) = "" then "" else ", ")
-      ^ marker ^ " " ^ value_str ^ "}"
-    else "{" ^ marker ^ " " ^ value_str ^ "}"
+      match Json.of_string (String.trim s) with Ok v -> v | Error _ -> Json.Obj [])
+    else Json.Obj []
   in
   let oc = open_out path in
-  output_string oc merged;
+  output_string oc (Json.to_string (Json.set_member key json_value base));
   output_char oc '\n';
   close_out oc
 

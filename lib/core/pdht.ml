@@ -73,6 +73,7 @@ type t = {
   stores : int Storage.t array; (* per active member; value = provider peer *)
   store : store_ops; (* how the index stores are reached (local/remote) *)
   replica_nets : (int, Replica_net.t) Hashtbl.t; (* key_index -> subnet *)
+  flood_scratch : Pdht_overlay.Scratch.t; (* shared by every subnet flood *)
   metrics : Metrics.t;
   obs : Obs.t;
   ins : instruments;
@@ -234,6 +235,7 @@ let create ?obs ?net ?store rng config =
       stores;
       store;
       replica_nets = Hashtbl.create (min keys 4096);
+      flood_scratch = Pdht_overlay.Scratch.create ();
       metrics = Metrics.create ();
       obs;
       ins = make_instruments obs ~backend:config.Config.backend;
@@ -422,7 +424,10 @@ let index_search t ~now ~entry ~key_index ~parent =
                int sentinel — an [option ref] compared with [=] would
                cost a polymorphic-equality call per member. *)
             let net = replica_net t key_index in
-            let flood = Replica_net.flood net ~online:t.online ~from_peer:responsible in
+            let flood =
+              Replica_net.flood ~scratch:t.flood_scratch net ~online:t.online
+                ~from_peer:responsible
+            in
             let flood_messages = flood.Replica_net.messages in
             let tracer = t.obs.Obs.tracer in
             if parent >= 0 && Tracer.active tracer Event.Replica_flood then
@@ -480,7 +485,10 @@ let index_insert_admitted t ~now ~entry ~key_index ~provider ~parent =
     | None -> lookup.Dht.messages
     | Some responsible ->
         let net = replica_net t key_index in
-        let flood = Replica_net.flood net ~online:t.online ~from_peer:responsible in
+        let flood =
+          Replica_net.flood ~scratch:t.flood_scratch net ~online:t.online
+            ~from_peer:responsible
+        in
         if insert_span >= 0 && Tracer.active tracer Event.Replica_flood then
           Tracer.emit tracer
             (Event.make ~time:(child_time t ~now) ~peer:responsible ~key_index

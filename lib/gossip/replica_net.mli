@@ -9,7 +9,11 @@
     Topology: a ring over the replicas (guaranteeing connectivity among
     online members as long as gaps are short) plus [chords] random
     long-range links per replica, mirroring the few open connections a
-    Gnutella-style client keeps. *)
+    Gnutella-style client keeps.
+
+    A subnet is immutable once built: adjacency is stored as flat CSR
+    rows (ascending, duplicate-free), built in time and space linear in
+    the number of links. *)
 
 type t
 
@@ -32,10 +36,14 @@ type flood_result = {
 }
 
 val flood :
+  ?scratch:Pdht_overlay.Scratch.t ->
   t -> online:(int -> bool) -> from_peer:int -> flood_result
 (** Flood the subnetwork starting from the replica with global index
     [from_peer] (no-op result if it is offline or not a member).  Used
-    both for update dissemination and for query forwarding. *)
+    both for update dissemination and for query forwarding.  [scratch]
+    holds the visited set and queue; pass one scratch to every flood a
+    system makes (any subnet, any size) to keep floods allocation-free.
+    Omitted, a fresh one is used; results are identical either way. *)
 
 val duplication_factor : flood_result -> float
 (** Empirical [dup2]: messages per online replica reached. *)

@@ -238,6 +238,12 @@ let of_string input =
 
 let member name = function Obj fields -> List.assoc_opt name fields | _ -> None
 
+let set_member name value = function
+  | Obj fields when List.mem_assoc name fields ->
+      Obj (List.map (fun (k, v) -> (k, if k = name then value else v)) fields)
+  | Obj fields -> Obj (fields @ [ (name, value) ])
+  | _ -> Obj [ (name, value) ]
+
 let to_float_opt = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)

@@ -31,6 +31,12 @@ val of_string : string -> (t, string) result
 val member : string -> t -> t option
 (** First binding of the name in an [Obj]; [None] otherwise. *)
 
+val set_member : string -> t -> t -> t
+(** [set_member name value obj] binds [name] to [value]: in place when
+    [obj] already binds [name], otherwise appended last.  Other members
+    keep their order.  A non-object [obj] is replaced by
+    [Obj [(name, value)]]. *)
+
 val to_float_opt : t -> float option
 (** [Int] and [Float] both convert. *)
 

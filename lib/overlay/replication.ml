@@ -1,15 +1,13 @@
 (* [by_item] is indexed directly by the item id (items are small dense
    ints in practice — key indices), holding each item's replica set as a
-   sorted array.  [holds] is the hot operation: unstructured search
-   calls it once per walk step / flood visit, so it must not chase a
-   tree — a binary search over a short sorted int array stays in one
-   cache line.  The per-peer inverse view is the compact growable
-   variant of the same idea: one sorted int array per peer ([items]
-   prefix of length [len], doubling capacity), ~2 words per holding.
-   Only crash faults ([remove_peer]) and [items_at] read it, so it is
-   built on first use by one counting pass over [by_item] and
-   maintained incrementally from then on; placement alone never pays
-   for it. *)
+   sorted array, so [holds] is a binary search and unstructured search
+   can stamp an item's whole set in one pass.  The per-peer inverse
+   view is the compact growable variant of the same idea: one sorted
+   int array per peer ([items] prefix of length [len], doubling
+   capacity), ~2 words per holding.  Only crash faults ([remove_peer])
+   and [items_at] read it, so it is built on first use by one counting
+   pass over [by_item] and maintained incrementally from then on;
+   placement alone never pays for it. *)
 type inverse = {
   items : int array array; (* peer -> sorted items, prefix of len *)
   len : int array;

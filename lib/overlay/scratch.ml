@@ -19,6 +19,8 @@ type t = {
   mutable next_frontier : int array;
   mutable candidates : int array;
   mutable positions : int array;
+  mutable holders : int array;
+  mutable holder_generation : int;
 }
 
 let create () =
@@ -29,6 +31,8 @@ let create () =
     next_frontier = [||];
     candidates = [||];
     positions = [||];
+    holders = [||];
+    holder_generation = 0;
   }
 
 let ensure_peers t n =
@@ -53,3 +57,21 @@ let next_generation t =
   end;
   t.generation <- t.generation + 1;
   t.generation
+
+(* Holder marks: [holders.(p) = g] for the [g] returned by the latest
+   call means [p] is in the marked set.  A separate stamp array and
+   counter from the visited set, since one search may run several
+   visited-set generations (expanding rings) over one holder set. *)
+let mark_holders t ~peers members =
+  if Array.length t.holders < peers then begin
+    t.holders <- Array.make peers 0;
+    t.holder_generation <- 0
+  end;
+  if t.holder_generation = max_int then begin
+    Array.fill t.holders 0 (Array.length t.holders) 0;
+    t.holder_generation <- 0
+  end;
+  t.holder_generation <- t.holder_generation + 1;
+  let gen = t.holder_generation in
+  Array.iter (fun p -> t.holders.(p) <- gen) members;
+  gen

@@ -20,6 +20,10 @@ type t = {
   mutable next_frontier : int array;
   mutable candidates : int array;  (** online-neighbor staging buffer *)
   mutable positions : int array;   (** random-walk walker positions *)
+  mutable holders : int array;
+      (** [holders.(p) = holder_generation] means peer [p] holds the
+          item of the current search. *)
+  mutable holder_generation : int;
 }
 
 val create : unit -> t
@@ -35,3 +39,9 @@ val ensure_walkers : t -> int -> unit
 val next_generation : t -> int
 (** Begin a new search: returns the fresh generation under which to
     stamp visited peers.  Handles stamp-counter overflow by wiping. *)
+
+val mark_holders : t -> peers:int -> int array -> int
+(** [mark_holders t ~peers members] stamps every peer of [members]
+    (indices below [peers]) under a fresh holder generation and returns
+    it: afterwards [t.holders.(p) = gen] iff [p] is in [members].  One
+    pass over the set per search replaces a set lookup per visit. *)

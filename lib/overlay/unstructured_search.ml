@@ -26,7 +26,15 @@ let strategy t = t.strategy
 type outcome = { found : bool; messages : int; provider : int option; rounds : int }
 
 let search ?span ?deliver t rng ~online ~source ~item =
-  let holds p = online p && Replication.holds t.replication ~peer:p ~item in
+  (* Stamp the item's replica set once, so a walk step or flood visit
+     tests holding with one array read instead of a binary search over
+     the replicas. *)
+  let gen =
+    Scratch.mark_holders t.scratch ~peers:(Replication.peers t.replication)
+      (Replication.replicas t.replication ~item)
+  in
+  let holders = t.scratch.Scratch.holders in
+  let holds p = online p && holders.(p) = gen in
   match t.strategy with
   | Flooding { ttl } ->
       let r =

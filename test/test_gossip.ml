@@ -234,11 +234,148 @@ let test_update_model_validation () =
            ~update_frequency:1.))
 
 (* ------------------------------------------------------------------ *)
+(* Reference replica net: the row-based builder the CSR build replaced.
+   Each member's neighbour set accumulates in a fixed-capacity row of
+   [n - 1] slots with a linear duplicate scan, then rows are sorted.
+   Same link draws in the same order, so adjacency and final RNG state
+   must match {!Replica_net.build} exactly. *)
+
+let reference_adjacency rng ~n ~chords =
+  let cap = max 1 (n - 1) in
+  let deg = Array.make n 0 in
+  let rows = Array.make (n * cap) 0 in
+  let connect a b =
+    if a <> b then begin
+      let base = a * cap in
+      let d = deg.(a) in
+      let dup = ref false in
+      for k = 0 to d - 1 do
+        if rows.(base + k) = b then dup := true
+      done;
+      if not !dup then begin
+        rows.(base + d) <- b;
+        deg.(a) <- d + 1
+      end
+    end
+  in
+  if n > 1 then
+    for i = 0 to n - 1 do
+      let succ = (i + 1) mod n in
+      connect i succ;
+      connect succ i;
+      for _ = 1 to chords do
+        let j = Rng.int rng n in
+        connect i j;
+        connect j i
+      done
+    done;
+  Array.init n (fun i ->
+      let a = Array.sub rows (i * cap) deg.(i) in
+      Array.sort Int.compare a;
+      a)
+
+(* Reference flood over the row adjacency: fresh visited set and queue
+   per call. *)
+let reference_flood ~replicas adj ~online ~from_peer =
+  let n = Array.length replicas in
+  let start = ref (-1) in
+  Array.iteri (fun i p -> if !start < 0 && p = from_peer then start := i) replicas;
+  if !start < 0 || not (online replicas.(!start)) then (0, 0)
+  else begin
+    let visited = Array.make n false in
+    visited.(!start) <- true;
+    let queue = Queue.create () in
+    Queue.add !start queue;
+    let reached = ref 1 and messages = ref 0 in
+    while not (Queue.is_empty queue) do
+      let pos = Queue.pop queue in
+      Array.iter
+        (fun q ->
+          if online replicas.(q) then begin
+            incr messages;
+            if not visited.(q) then begin
+              visited.(q) <- true;
+              incr reached;
+              Queue.add q queue
+            end
+          end)
+        adj.(pos)
+    done;
+    (!reached, !messages)
+  end
+
+(* [n] distinct global peer indices, strided and offset so positions
+   and peer ids differ. *)
+let oracle_replicas ~seed ~n = Array.init n (fun i -> seed + (7 * i))
+
+(* One subnet under test next to its reference; checks neighbours and
+   the RNG stream position after the build. *)
+let oracle_pair ~seed ~n ~chords =
+  let replicas = oracle_replicas ~seed ~n in
+  let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
+  let net = Replica_net.build rng ~replicas ~chords in
+  let adj = reference_adjacency rng_ref ~n ~chords in
+  let same_neighbors =
+    List.for_all
+      (fun m ->
+        Replica_net.neighbors net ~member:m = Array.map (fun pos -> replicas.(pos)) adj.(m))
+      (List.init n Fun.id)
+  in
+  let same_rng = Rng.int rng 1_000_000_007 = Rng.int rng_ref 1_000_000_007 in
+  (replicas, net, adj, same_neighbors && same_rng)
+
+let check_replica_net_oracle (seed, n, chords) =
+  let replicas, net, adj, built_ok = oracle_pair ~seed ~n ~chords in
+  (* A second, differently sized subnet, flooded interleaved with the
+     first through one shared scratch. *)
+  let n2 = 1 + ((n * 3) + seed) mod 37 in
+  let replicas2, net2, adj2, built_ok2 = oracle_pair ~seed:(seed + 1) ~n:n2 ~chords in
+  let mask_rng = Rng.create ~seed:(seed + 2) in
+  let shared = Pdht_overlay.Scratch.create () in
+  let floods_ok = ref true in
+  for _mask = 1 to 2 do
+    (* Each peer is up with probability 1, 3/4, 1/2 or 1/4. *)
+    let density = Rng.int mask_rng 4 in
+    let up = Array.init (seed + 2 + (7 * max n n2)) (fun _ -> Rng.int mask_rng 4 >= density) in
+    let online p = up.(p) in
+    for m = 0 to n - 1 do
+      let check net adj replicas from_peer =
+        let expected = reference_flood ~replicas adj ~online ~from_peer in
+        let got r = (r.Replica_net.reached, r.Replica_net.messages) in
+        if got (Replica_net.flood ~scratch:shared net ~online ~from_peer) <> expected then
+          floods_ok := false;
+        if got (Replica_net.flood net ~online ~from_peer) <> expected then floods_ok := false
+      in
+      check net adj replicas replicas.(m);
+      check net2 adj2 replicas2 replicas2.(m mod n2)
+    done
+  done;
+  built_ok && built_ok2 && !floods_ok
+
+let test_net_oracle_corners () =
+  (* n = 1, 2, 3: ring links coincide (both directions of a 2-ring are
+     the same pair; a 1-ring is a self-link) and chords mostly repeat
+     them. *)
+  for n = 1 to 3 do
+    for chords = 0 to 4 do
+      for seed = 0 to 49 do
+        Alcotest.(check bool)
+          (Printf.sprintf "n=%d chords=%d seed=%d" n chords seed)
+          true
+          (check_replica_net_oracle (seed, n, chords))
+      done
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"replica net == row reference" ~count:100
+      (triple small_int (int_range 1 300) (int_range 0 4))
+      check_replica_net_oracle;
     Test.make ~name:"flood reach bounded by online members" ~count:60
       (triple (int_range 1 60) (int_range 0 3) small_int)
       (fun (n, chords, seed) ->
@@ -275,6 +412,7 @@ let () =
           Alcotest.test_case "flood from non-member" `Quick test_net_flood_from_nonmember;
           Alcotest.test_case "singleton" `Quick test_net_singleton;
           Alcotest.test_case "validation" `Quick test_net_validation;
+          Alcotest.test_case "oracle corners n = 1, 2, 3" `Quick test_net_oracle_corners;
         ] );
       ( "rumor",
         [

@@ -41,6 +41,45 @@ let test_json_rejects_garbage () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "1 2"; "\"unterminated" ]
 
+let test_json_set_member () =
+  let obj = Json.Obj [ ("a", Json.Int 1); ("b", Json.Int 2); ("c", Json.Int 3) ] in
+  let keys = function Json.Obj fields -> List.map fst fields | _ -> [] in
+  let replaced = Json.set_member "b" (Json.String "x") obj in
+  Alcotest.(check (list string)) "replaced in place" [ "a"; "b"; "c" ] (keys replaced);
+  Alcotest.(check bool) "new value" true (Json.member "b" replaced = Some (Json.String "x"));
+  Alcotest.(check bool) "others kept" true
+    (Json.member "a" replaced = Some (Json.Int 1) && Json.member "c" replaced = Some (Json.Int 3));
+  let appended = Json.set_member "d" Json.Null obj in
+  Alcotest.(check (list string)) "appended last" [ "a"; "b"; "c"; "d" ] (keys appended);
+  Alcotest.(check bool) "appended value" true (Json.member "d" appended = Some Json.Null);
+  (* Replacing a key with later blocks after it keeps those blocks:
+     the splice of [BENCH_pdht.json] sections relies on it. *)
+  let twice = Json.set_member "a" (Json.Int 9) (Json.set_member "a" (Json.Int 8) obj) in
+  Alcotest.(check string) "later members kept" {|{"a":9,"b":2,"c":3}|} (Json.to_string twice);
+  Alcotest.(check string) "non-object replaced" {|{"k":true}|}
+    (Json.to_string (Json.set_member "k" (Json.Bool true) (Json.List [])))
+
+(* Every value in the committed bench report survives a parse-print
+   round trip, so rewriting the file through the tree loses nothing.
+   Under [dune runtest] the file arrives one level up (dune deps); a
+   bare [dune exec] runs from the project root. *)
+let test_json_bench_report_roundtrip () =
+  let path =
+    if Sys.file_exists "../BENCH_pdht.json" then "../BENCH_pdht.json" else "BENCH_pdht.json"
+  in
+  let ic = open_in_bin path in
+  let text = String.trim (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  match Json.of_string text with
+  | Error msg -> Alcotest.failf "%s: %s" path msg
+  | Ok parsed -> (
+      match Json.of_string (Json.to_string parsed) with
+      | Error msg -> Alcotest.failf "reparse: %s" msg
+      | Ok again ->
+          Alcotest.(check bool) "reparses equal" true (parsed = again);
+          Alcotest.(check string) "print is a fixed point" (Json.to_string parsed)
+            (Json.to_string again))
+
 (* ------------------------------------------------------------------ *)
 (* Histogram *)
 
@@ -791,6 +830,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
+          Alcotest.test_case "set_member" `Quick test_json_set_member;
+          Alcotest.test_case "bench report roundtrip" `Quick test_json_bench_report_roundtrip;
         ] );
       ( "histogram",
         [

@@ -625,6 +625,82 @@ let replication_matches_model (peers, seed, ops) =
   List.for_all (fun op -> step op && consistent ()) ops
 
 (* ------------------------------------------------------------------ *)
+(* Holder marks: [Unstructured_search.search] stamps the item's replica
+   set once per search; a reference that asks [Replication.holds] on
+   every visit must see the same outcome and leave the RNG in the same
+   state, as placements change between searches. *)
+
+let reference_search ~topology ~replication strategy rng ~online ~source ~item =
+  let holds p = online p && Replication.holds replication ~peer:p ~item in
+  match strategy with
+  | Search.Flooding { ttl } ->
+      let r = Flood.search topology ~online ~holds ~source ~ttl in
+      (r.Flood.found_at <> None, r.Flood.messages, r.Flood.found_at, r.Flood.depth)
+  | Search.Random_walks { walkers; max_steps; check_every } ->
+      let r =
+        Random_walk.search topology rng ~online ~holds ~source ~walkers ~max_steps
+          ~check_every
+      in
+      ( r.Random_walk.found_at <> None,
+        r.Random_walk.messages,
+        r.Random_walk.found_at,
+        r.Random_walk.rounds )
+  | Search.Expanding_ring { initial_ttl; growth; max_ttl } ->
+      let r =
+        Expanding_ring.search topology ~online ~holds ~source ~initial_ttl ~growth ~max_ttl
+      in
+      ( r.Expanding_ring.found_at <> None,
+        r.Expanding_ring.messages,
+        r.Expanding_ring.found_at,
+        r.Expanding_ring.depth )
+
+let holder_marks_match_reference (seed, peers, which) =
+  let strategy =
+    match which with
+    | 0 -> Search.Flooding { ttl = 4 }
+    | 1 -> Search.Random_walks { walkers = 3; max_steps = 30; check_every = 4 }
+    | _ -> Search.Expanding_ring { initial_ttl = 1; growth = 1; max_ttl = 5 }
+  in
+  let rng = Rng.create ~seed in
+  let topology = Topology.random_regularish rng ~peers ~degree:3 in
+  let replication = Replication.create ~peers in
+  let items = 6 in
+  for item = 0 to items - 1 do
+    Replication.place replication rng ~item ~repl:(1 + (item * 2))
+  done;
+  let s = Search.create ~topology ~replication ~strategy in
+  let ops = Rng.create ~seed:(seed + 1) in
+  let ok = ref true in
+  for _ = 1 to 40 do
+    (* Mutate the placement between searches: re-place on an explicit
+       set, crash a peer's content, or leave it alone. *)
+    (match Rng.int ops 4 with
+    | 0 ->
+        let k = Rng.int ops 5 in
+        Replication.place_on replication ~item:(Rng.int ops items)
+          ~replicas:(Array.init k (fun _ -> Rng.int ops peers))
+    | 1 -> ignore (Replication.remove_peer replication ~peer:(Rng.int ops peers))
+    | _ -> ());
+    let down = Rng.int ops peers in
+    let online p = p <> down && (p + seed) mod 7 <> 0 in
+    let source = Rng.int ops peers in
+    (* Placed, emptied or re-placed items, one never placed, and one
+       beyond the table's current length. *)
+    let item =
+      match Rng.int ops 8 with 6 -> items | 7 -> 10_000 | i -> i
+    in
+    let r1 = Rng.copy rng and r2 = Rng.copy rng in
+    ignore (Rng.bits64 rng);
+    let o = Search.search s r1 ~online ~source ~item in
+    let got = (o.Search.found, o.Search.messages, o.Search.provider, o.Search.rounds) in
+    let expected =
+      reference_search ~topology ~replication strategy r2 ~online ~source ~item
+    in
+    if got <> expected || Rng.bits64 r1 <> Rng.bits64 r2 then ok := false
+  done;
+  !ok
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let qcheck_tests =
@@ -741,6 +817,9 @@ let qcheck_tests =
                 ~check_every:4
             && Rng.bits64 r1 = Rng.bits64 r2)
           [ 0; 1; 2; 3; 4 ]);
+    Test.make ~name:"search holder marks == Replication.holds reference" ~count:150
+      (triple small_int (int_range 5 80) (int_range 0 2))
+      holder_marks_match_reference;
   ]
 
 let () =
