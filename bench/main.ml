@@ -659,6 +659,28 @@ let section_replication_planning () =
     plan.Pdht_model.Replication_planner.achieved_availability
     plan.Pdht_model.Replication_planner.partial_cost
 
+(* Set members of the object in BENCH_pdht.json: parse the file,
+   replace each member in place or append it, print it back.  Every
+   other block survives, in order, so sections can be rerun alone in any
+   order.  A missing or malformed file starts a fresh object. *)
+let splice_members path members =
+  let module Json = Pdht_obs.Json in
+  let base =
+    if Sys.file_exists path then (
+      let ic = open_in_bin path in
+      let s = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      match Json.of_string (String.trim s) with Ok v -> v | Error _ -> Json.Obj [])
+    else Json.Obj []
+  in
+  let merged = List.fold_left (fun acc (key, v) -> Json.set_member key v acc) base members in
+  let oc = open_out path in
+  output_string oc (Json.to_string merged);
+  output_char oc '\n';
+  close_out oc
+
+let splice_section_json path ~key json_value = splice_members path [ (key, json_value) ]
+
 (* ------------------------------------------------------------------ *)
 (* Perf run: instrumented simulation, exported as BENCH_pdht.json *)
 
@@ -1236,70 +1258,66 @@ let section_perf () =
       ]
   in
   let run_name = scenario.Scenario.name ^ "/partial" in
-  let json =
-    Json.Obj
-      [
-        ("run", Json.String run_name);
-        ("seed", Json.Int scenario.Scenario.seed);
-        ("sim_duration_s", Json.Float scenario.Scenario.duration);
-        ("wall_time_s", Json.Float wall);
-        ("engine_events", Json.Int engine_events);
-        ("sim_events_per_second", Json.Float events_per_second);
-        ("queries", Json.Int report.System.queries);
-        ("total_messages", Json.Int report.System.total_messages);
-        ("messages_per_second", Json.Float report.System.messages_per_second);
-        ("hit_rate", Json.Float report.System.hit_rate);
-        ("query_cost_p50", Json.Float report.System.query_cost_p50);
-        ("query_cost_p95", Json.Float report.System.query_cost_p95);
-        ("query_cost_p99", Json.Float report.System.query_cost_p99);
-        ( "gc",
-          Json.Obj
-            [
-              ("minor_words_run", Json.Float minor_words_run);
-              ("minor_collections_run", Json.Int minor_collections_run);
-              ("minor_words_per_event", Json.Float minor_words_per_event);
-            ] );
-        ( "alloc",
-          Json.Obj
-            [
-              ("event_queue_add_pop_minor_words_per_op", Json.Float queue_words_per_op);
-              ("flood_scratch_minor_words_per_search", Json.Float flood_scratch_words);
-              ("flood_fresh_minor_words_per_search", Json.Float flood_fresh_words);
-              ("storage_expire_minor_words_per_op", Json.Float storage_expire_words);
-              ("storage_put_get_minor_words_per_op", Json.Float storage_put_get_words);
-              ("storage_expire_alloc_free", Json.Bool (storage_expire_words = 0.));
-            ] );
-        ( "histograms",
-          Json.Obj
-            (List.map
-               (fun (name, s) -> (name, Pdht_obs.Histogram.summary_to_json s))
-               report.System.histograms) );
-        ( "parallel",
-          Json.Obj
-            [
-              ("cores", Json.Int cores);
-              ("batch_specs", Json.Int (List.length batch_specs));
-              ("jobs_single", Json.Int 1);
-              ("wall_single_s", Json.Float wall_single);
-              ("minor_words_single", Json.Float minor_single);
-              ("jobs_parallel", Json.Int par_jobs);
-              ("jobs_effective", Json.Int (min par_jobs cores));
-              ("wall_parallel_s", Json.Float wall_parallel);
-              ("minor_words_parallel", Json.Float minor_parallel);
-              ("speedup", Json.Float speedup);
-              ("identical_reports", Json.Bool true);
-            ] );
-        ("net", net_json);
-        ("fault", fault_json);
-        ("policy", policy_json);
-        ("tracing", tracing_json);
-      ]
+  let members =
+    [
+      ("run", Json.String run_name);
+      ("seed", Json.Int scenario.Scenario.seed);
+      ("sim_duration_s", Json.Float scenario.Scenario.duration);
+      ("wall_time_s", Json.Float wall);
+      ("engine_events", Json.Int engine_events);
+      ("sim_events_per_second", Json.Float events_per_second);
+      ("queries", Json.Int report.System.queries);
+      ("total_messages", Json.Int report.System.total_messages);
+      ("messages_per_second", Json.Float report.System.messages_per_second);
+      ("hit_rate", Json.Float report.System.hit_rate);
+      ("query_cost_p50", Json.Float report.System.query_cost_p50);
+      ("query_cost_p95", Json.Float report.System.query_cost_p95);
+      ("query_cost_p99", Json.Float report.System.query_cost_p99);
+      ( "gc",
+        Json.Obj
+          [
+            ("minor_words_run", Json.Float minor_words_run);
+            ("minor_collections_run", Json.Int minor_collections_run);
+            ("minor_words_per_event", Json.Float minor_words_per_event);
+          ] );
+      ( "alloc",
+        Json.Obj
+          [
+            ("event_queue_add_pop_minor_words_per_op", Json.Float queue_words_per_op);
+            ("flood_scratch_minor_words_per_search", Json.Float flood_scratch_words);
+            ("flood_fresh_minor_words_per_search", Json.Float flood_fresh_words);
+            ("storage_expire_minor_words_per_op", Json.Float storage_expire_words);
+            ("storage_put_get_minor_words_per_op", Json.Float storage_put_get_words);
+            ("storage_expire_alloc_free", Json.Bool (storage_expire_words = 0.));
+          ] );
+      ( "histograms",
+        Json.Obj
+          (List.map
+             (fun (name, s) -> (name, Pdht_obs.Histogram.summary_to_json s))
+             report.System.histograms) );
+      ( "parallel",
+        Json.Obj
+          [
+            ("cores", Json.Int cores);
+            ("batch_specs", Json.Int (List.length batch_specs));
+            ("jobs_single", Json.Int 1);
+            ("wall_single_s", Json.Float wall_single);
+            ("minor_words_single", Json.Float minor_single);
+            ("jobs_parallel", Json.Int par_jobs);
+            ("jobs_effective", Json.Int (min par_jobs cores));
+            ("wall_parallel_s", Json.Float wall_parallel);
+            ("minor_words_parallel", Json.Float minor_parallel);
+            ("speedup", Json.Float speedup);
+            ("identical_reports", Json.Bool true);
+          ] );
+      ("net", net_json);
+      ("fault", fault_json);
+      ("policy", policy_json);
+      ("tracing", tracing_json);
+    ]
   in
   let path = "BENCH_pdht.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
+  splice_members path members;
   Printf.printf
     "%s: %d engine events in %.2f s wall (%.0f events/s), %.1f minor words/event\n\
      alloc: queue add+pop %.2f w/op, flood %.0f w/search with scratch vs %.0f fresh, \
@@ -1429,26 +1447,6 @@ let peak_rss_mb () =
       let mb = find () in
       close_in ic;
       mb
-
-(* Set ["KEY": ...] in BENCH_pdht.json (the [perf] section's output):
-   parse the file, replace the member in place or append it, print it
-   back.  Every other block survives, in order, so sections can be
-   rerun alone in any order.  A missing or malformed file starts a
-   fresh object. *)
-let splice_section_json path ~key json_value =
-  let module Json = Pdht_obs.Json in
-  let base =
-    if Sys.file_exists path then (
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string (String.trim s) with Ok v -> v | Error _ -> Json.Obj [])
-    else Json.Obj []
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string (Json.set_member key json_value base));
-  output_char oc '\n';
-  close_out oc
 
 let splice_scale_json path scale_json = splice_section_json path ~key:"scale" scale_json
 

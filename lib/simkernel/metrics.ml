@@ -68,26 +68,3 @@ let diff ~before ~after =
 
 let copy t = { counts = Array.copy t.counts; tee = None }
 let reset t = Array.fill t.counts 0 (Array.length t.counts) 0
-
-module Series = struct
-  type series = { bucket_width : float; mutable counts : int array; mutable used : int }
-
-  let create ~bucket_width =
-    if not (bucket_width > 0.) then invalid_arg "Metrics.Series.create: width must be positive";
-    { bucket_width; counts = [||]; used = 0 }
-
-  let charge s ~time n =
-    if time < 0. then invalid_arg "Metrics.Series.charge: negative time";
-    if n < 0 then invalid_arg "Metrics.Series.charge: negative count";
-    let idx = int_of_float (Float.floor (time /. s.bucket_width)) in
-    if idx >= Array.length s.counts then begin
-      let bigger = Array.make (max 16 (2 * (idx + 1))) 0 in
-      Array.blit s.counts 0 bigger 0 (Array.length s.counts);
-      s.counts <- bigger
-    end;
-    s.counts.(idx) <- s.counts.(idx) + n;
-    if idx + 1 > s.used then s.used <- idx + 1
-
-  let buckets s =
-    Array.init s.used (fun i -> (float_of_int i *. s.bucket_width, s.counts.(i)))
-end

@@ -46,20 +46,3 @@ val diff : before:t -> after:t -> (category * int) list
 
 val copy : t -> t
 val reset : t -> unit
-
-(** Time-bucketed counting for time-series output (e.g. messages per
-    1000-second window across a popularity shift). *)
-module Series : sig
-  type series
-
-  val create : bucket_width:float -> series
-  (** Requires a positive width. *)
-
-  val charge : series -> time:float -> int -> unit
-  (** Count [n] messages at simulated [time] (>= 0).  Negative counts
-      are rejected, matching {!Metrics.charge}. *)
-
-  val buckets : series -> (float * int) array
-  (** [(bucket_start_time, messages)] for every bucket up to the last
-      one charged; intermediate empty buckets are included. *)
-end

@@ -104,6 +104,40 @@ let test_queue_hot_path_raises_on_empty () =
   Alcotest.check_raises "pop_min after drain" (Invalid_argument "Event_queue.pop_min: empty queue")
     (fun () -> ignore (Event_queue.pop_min q))
 
+(* The queue must not keep a payload alive once it has left: popped and
+   cleared payloads (in the simulator, handler closures capturing large
+   state) have to be collectable.  Each payload is registered in a weak
+   array and only the queue holds it strongly. *)
+let test_queue_releases_payloads () =
+  let q = Event_queue.create () in
+  let w = Weak.create 6 in
+  let[@inline never] add i time =
+    let payload = Bytes.make 64 (Char.chr (65 + i)) in
+    Weak.set w i (Some payload);
+    Event_queue.add q ~time payload
+  in
+  let[@inline never] pop_and_drop () = ignore (Sys.opaque_identity (Event_queue.pop_min q)) in
+  let[@inline never] pop_option_and_drop () =
+    ignore (Sys.opaque_identity (Event_queue.pop q))
+  in
+  let live i = Weak.check w i in
+  List.iteri (fun i time -> add i time) [ 3.; 1.; 2.; 5.; 4.; 6. ];
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "pending payloads are kept" [ true; true; true; true; true; true ]
+    (List.init 6 live);
+  pop_and_drop ();
+  pop_option_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "popped payloads are collectable"
+    [ true; false; false; true; true; true ] (List.init 6 live);
+  Event_queue.clear q;
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "cleared payloads are collectable"
+    [ false; false; false; false; false; false ] (List.init 6 live);
+  (* Use the queue after the last collection, so it is itself still
+     reachable there and only its own nulling can free the payloads. *)
+  Alcotest.(check int) "queue still reachable and empty" 0 (Event_queue.size q)
+
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -278,27 +312,6 @@ let test_metrics_labels_distinct () =
   Alcotest.(check int) "distinct labels" (List.length labels)
     (List.length (List.sort_uniq compare labels))
 
-let test_metrics_series () =
-  let s = Metrics.Series.create ~bucket_width:10. in
-  Metrics.Series.charge s ~time:0.5 3;
-  Metrics.Series.charge s ~time:5. 2;
-  Metrics.Series.charge s ~time:25. 7;
-  let buckets = Metrics.Series.buckets s in
-  Alcotest.(check int) "three buckets (incl. empty middle)" 3 (Array.length buckets);
-  let _, b0 = buckets.(0) and _, b1 = buckets.(1) and _, b2 = buckets.(2) in
-  Alcotest.(check int) "bucket 0" 5 b0;
-  Alcotest.(check int) "bucket 1 empty" 0 b1;
-  Alcotest.(check int) "bucket 2" 7 b2
-
-let test_metrics_series_rejects_bad () =
-  Alcotest.check_raises "zero width"
-    (Invalid_argument "Metrics.Series.create: width must be positive") (fun () ->
-      ignore (Metrics.Series.create ~bucket_width:0.));
-  let s = Metrics.Series.create ~bucket_width:1. in
-  Alcotest.check_raises "negative time"
-    (Invalid_argument "Metrics.Series.charge: negative time") (fun () ->
-      Metrics.Series.charge s ~time:(-1.) 1)
-
 (* ------------------------------------------------------------------ *)
 (* Trace *)
 
@@ -424,12 +437,196 @@ let queue_model_agrees ops =
     !model
   && Event_queue.is_empty q
 
+(* Differential check against the previous event queue: a binary heap
+   that swaps (time, seq, payload) triples during sifting.  Its pop order
+   is the definition of the simulator's event order, so the slot-indexed
+   4-ary heap must reproduce it exactly — including ties on equal times,
+   infinite times, interleaved clears and growth — together with its
+   sizes and its capacity policy. *)
+module Ref_queue = struct
+  type 'a t = {
+    mutable times : float array;
+    mutable seqs : int array;
+    mutable payloads : Obj.t array;
+    mutable size : int;
+    mutable next_seq : int;
+  }
+
+  let nothing = Obj.repr ()
+  let create () = { times = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
+  let size t = t.size
+  let capacity t = Array.length t.times
+
+  let lt t i j =
+    t.times.(i) < t.times.(j) || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
+
+  let swap t i j =
+    let time = t.times.(i) in
+    t.times.(i) <- t.times.(j);
+    t.times.(j) <- time;
+    let seq = t.seqs.(i) in
+    t.seqs.(i) <- t.seqs.(j);
+    t.seqs.(j) <- seq;
+    let payload = t.payloads.(i) in
+    t.payloads.(i) <- t.payloads.(j);
+    t.payloads.(j) <- payload
+
+  let grow t =
+    let cap = max 16 (2 * Array.length t.times) in
+    let times = Array.make cap 0. and seqs = Array.make cap 0 in
+    let payloads = Array.make cap nothing in
+    Array.blit t.times 0 times 0 t.size;
+    Array.blit t.seqs 0 seqs 0 t.size;
+    Array.blit t.payloads 0 payloads 0 t.size;
+    t.times <- times;
+    t.seqs <- seqs;
+    t.payloads <- payloads
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if lt t i parent then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.size && lt t l !smallest then smallest := l;
+    if r < t.size && lt t r !smallest then smallest := r;
+    if !smallest <> i then begin
+      swap t i !smallest;
+      sift_down t !smallest
+    end
+
+  let add t ~time payload =
+    if t.size = Array.length t.times then grow t;
+    let i = t.size in
+    t.times.(i) <- time;
+    t.seqs.(i) <- t.next_seq;
+    t.payloads.(i) <- Obj.repr payload;
+    t.next_seq <- t.next_seq + 1;
+    t.size <- t.size + 1;
+    sift_up t i
+
+  let peek_time t = if t.size = 0 then None else Some t.times.(0)
+
+  let pop_min t =
+    let payload = t.payloads.(0) in
+    let last = t.size - 1 in
+    t.size <- last;
+    if last > 0 then begin
+      t.times.(0) <- t.times.(last);
+      t.seqs.(0) <- t.seqs.(last);
+      t.payloads.(0) <- t.payloads.(last);
+      t.payloads.(last) <- nothing;
+      sift_down t 0
+    end
+    else t.payloads.(0) <- nothing;
+    (Obj.obj payload : 'a)
+
+  let pop t =
+    if t.size = 0 then None
+    else
+      let time = t.times.(0) in
+      Some (time, pop_min t)
+
+  let clear t =
+    if t.size > 0 then Array.fill t.payloads 0 t.size nothing;
+    t.size <- 0
+end
+
+type oracle_op =
+  | O_add of float
+  | O_burst of int * float  (** [n] adds at one time: ties and growth *)
+  | O_pop_min
+  | O_pop
+  | O_peek
+  | O_clear
+
+let oracle_op_gen =
+  QCheck.Gen.(
+    let time =
+      frequency
+        [
+          (* Few distinct times, so ties are the common case. *)
+          (5, map float_of_int (int_bound 8));
+          (2, float_bound_inclusive 100.);
+          (1, return infinity);
+          (1, return 0.);
+        ]
+    in
+    frequency
+      [
+        (8, map (fun t -> O_add t) time);
+        (1, map2 (fun n t -> O_burst (n, t)) (int_range 1 40) time);
+        (4, return O_pop_min);
+        (2, return O_pop);
+        (2, return O_peek);
+        (1, return O_clear);
+      ])
+
+let oracle_op_print = function
+  | O_add t -> Printf.sprintf "Add %g" t
+  | O_burst (n, t) -> Printf.sprintf "Burst %dx%g" n t
+  | O_pop_min -> "Pop_min"
+  | O_pop -> "Pop"
+  | O_peek -> "Peek"
+  | O_clear -> "Clear"
+
+let queue_matches_reference ops =
+  let q = Event_queue.create () and r = Ref_queue.create () in
+  let next = ref 0 in
+  let add time =
+    Event_queue.add q ~time !next;
+    Ref_queue.add r ~time !next;
+    incr next
+  in
+  let same_shape () =
+    Event_queue.size q = Ref_queue.size r
+    && Event_queue.capacity q = Ref_queue.capacity r
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | O_add time -> add time; true
+      | O_burst (n, time) ->
+          for _ = 1 to n do
+            add time
+          done;
+          true
+      | O_pop_min ->
+          Ref_queue.size r = 0
+          || Event_queue.min_time q = Ref_queue.(r.times.(0))
+             && Event_queue.pop_min q = Ref_queue.pop_min r
+      | O_pop -> Event_queue.pop q = Ref_queue.pop r
+      | O_peek -> Event_queue.peek_time q = Ref_queue.peek_time r
+      | O_clear ->
+          Event_queue.clear q;
+          Ref_queue.clear r;
+          true)
+      && same_shape ())
+    ops
+  &&
+  (* Drain both: the whole remaining order must agree. *)
+  let rec drain () =
+    match (Event_queue.pop q, Ref_queue.pop r) with
+    | None, None -> true
+    | a, b -> a = b && drain ()
+  in
+  drain () && same_shape ()
+
 let qcheck_tests =
   let open QCheck in
   [
     Test.make ~name:"heap agrees with sorted-list model (Add/Pop/Clear)" ~count:500
       (list_of_size Gen.(int_bound 60) (make ~print:queue_op_print queue_op_gen))
       queue_model_agrees;
+    Test.make ~name:"4-ary slot heap matches the swap-based reference heap" ~count:1000
+      (list_of_size Gen.(int_bound 200) (make ~print:oracle_op_print oracle_op_gen))
+      queue_matches_reference;
     Test.make ~name:"event queue is a sorting network" ~count:100
       (small_list (float_bound_inclusive 1000.))
       (fun times ->
@@ -470,6 +667,8 @@ let () =
           Alcotest.test_case "clear keeps capacity" `Quick test_queue_clear_keeps_capacity;
           Alcotest.test_case "hot path raises on empty" `Quick
             test_queue_hot_path_raises_on_empty;
+          Alcotest.test_case "releases popped and cleared payloads" `Quick
+            test_queue_releases_payloads;
         ] );
       ( "engine",
         [
@@ -494,8 +693,6 @@ let () =
           Alcotest.test_case "snapshot and diff" `Quick test_metrics_snapshot_and_diff;
           Alcotest.test_case "reset" `Quick test_metrics_reset;
           Alcotest.test_case "labels distinct" `Quick test_metrics_labels_distinct;
-          Alcotest.test_case "series buckets" `Quick test_metrics_series;
-          Alcotest.test_case "series validation" `Quick test_metrics_series_rejects_bad;
         ] );
       ( "trace",
         [

@@ -168,6 +168,228 @@ let test_rng_geometric () =
   (* mean of failures-before-success = (1-p)/p = 1 *)
   check_float_loose "mean" 1.0 (float_of_int !acc /. float_of_int n)
 
+
+(* The earlier generator, kept as the reference stream: xoshiro256**
+   with each 64-bit state word held as two 32-bit halves in native ints.
+   [Rng] must emit exactly this stream from every entry point. *)
+module Ref_rng = struct
+  type t = {
+    mutable s0h : int; mutable s0l : int;
+    mutable s1h : int; mutable s1l : int;
+    mutable s2h : int; mutable s2l : int;
+    mutable s3h : int; mutable s3l : int;
+    mutable resh : int; mutable resl : int;
+  }
+
+  let mask32 = 0xFFFFFFFF
+
+  let step t =
+    let m5l0 = t.s1l * 5 in
+    let m5l = m5l0 land mask32 in
+    let m5h = ((t.s1h * 5) + (m5l0 lsr 32)) land mask32 in
+    let r7h = ((m5h lsl 7) lor (m5l lsr 25)) land mask32 in
+    let r7l = ((m5l lsl 7) lor (m5h lsr 25)) land mask32 in
+    let m9l0 = r7l * 9 in
+    t.resl <- m9l0 land mask32;
+    t.resh <- ((r7h * 9) + (m9l0 lsr 32)) land mask32;
+    let tmph = ((t.s1h lsl 17) lor (t.s1l lsr 15)) land mask32 in
+    let tmpl = (t.s1l lsl 17) land mask32 in
+    t.s2h <- t.s2h lxor t.s0h;
+    t.s2l <- t.s2l lxor t.s0l;
+    t.s3h <- t.s3h lxor t.s1h;
+    t.s3l <- t.s3l lxor t.s1l;
+    t.s1h <- t.s1h lxor t.s2h;
+    t.s1l <- t.s1l lxor t.s2l;
+    t.s0h <- t.s0h lxor t.s3h;
+    t.s0l <- t.s0l lxor t.s3l;
+    t.s2h <- t.s2h lxor tmph;
+    t.s2l <- t.s2l lxor tmpl;
+    let h = t.s3h and l = t.s3l in
+    t.s3h <- ((l lsl 13) lor (h lsr 19)) land mask32;
+    t.s3l <- ((h lsl 13) lor (l lsr 19)) land mask32
+
+  let splitmix64_next state =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let hi64 v = Int64.to_int (Int64.shift_right_logical v 32)
+  let lo64 v = Int64.to_int (Int64.logand v 0xFFFFFFFFL)
+
+  let of_splitmix start =
+    let state = ref start in
+    let s0 = splitmix64_next state in
+    let s1 = splitmix64_next state in
+    let s2 = splitmix64_next state in
+    let s3 = splitmix64_next state in
+    {
+      s0h = hi64 s0; s0l = lo64 s0;
+      s1h = hi64 s1; s1l = lo64 s1;
+      s2h = hi64 s2; s2l = lo64 s2;
+      s3h = hi64 s3; s3l = lo64 s3;
+      resh = 0; resl = 0;
+    }
+
+  let create ~seed = of_splitmix (Int64.of_int seed)
+  let copy t = { t with resh = 0 }
+
+  let bits64 t =
+    step t;
+    Int64.logor (Int64.shift_left (Int64.of_int t.resh) 32) (Int64.of_int t.resl)
+
+  let split t = of_splitmix (bits64 t)
+
+  let rec lemire_draw t bound =
+    step t;
+    let r30 = t.resh lsr 2 in
+    let m = r30 * bound in
+    let low = m land 0x3FFFFFFF in
+    if low < bound && low < (0x40000000 - bound) mod bound then lemire_draw t bound
+    else m lsr 30
+
+  let rec int_draw t bound =
+    step t;
+    let r = (t.resh lsl 30) lor (t.resl lsr 2) in
+    let v = r mod bound in
+    if r - v > max_int - bound + 1 then int_draw t bound else v
+
+  let int t bound = if bound < 0x40000000 then lemire_draw t bound else int_draw t bound
+  let int_in_range t ~lo ~hi = lo + int t (hi - lo + 1)
+
+  let unit_float t =
+    step t;
+    float_of_int ((t.resh lsl 21) lor (t.resl lsr 11)) *. 0x1.0p-53
+
+  let float t bound = unit_float t *. bound
+
+  let bool t =
+    step t;
+    t.resl land 1 = 1
+
+  let bernoulli t ~p = if p <= 0. then false else if p >= 1. then true else unit_float t < p
+  let exponential t ~rate = -.log (1. -. unit_float t) /. rate
+
+  let geometric t ~p =
+    if p = 1. then 0
+    else int_of_float (Float.floor (log (1. -. unit_float t) /. log (1. -. p)))
+end
+
+(* Known answers: the first outputs of two seeds, so a change that moved
+   both generators together would still be caught. *)
+let test_rng_known_answers () =
+  let first4 bits64 = List.init 4 (fun _ -> bits64 ()) in
+  let expect seed words =
+    let r = Rng.create ~seed and m = Ref_rng.create ~seed in
+    Alcotest.(check (list int64)) (Printf.sprintf "seed %d" seed) words
+      (first4 (fun () -> Rng.bits64 r));
+    Alcotest.(check (list int64)) (Printf.sprintf "reference seed %d" seed) words
+      (first4 (fun () -> Ref_rng.bits64 m))
+  in
+  expect 0
+    [ 0x99EC5F36CB75F2B4L; 0xBF6E1F784956452AL; 0x1A5F849D4933E6E0L; 0x6AA594F1262D2D2CL ];
+  expect 42
+    [ 0x15780B2E0C2EC716L; 0x6104D9866D113A7EL; 0xAE17533239E499A1L; 0xECB8AD4703B360A1L ];
+  let r = Rng.create ~seed:42 in
+  Alcotest.(check (list int)) "seed 42 int 1000" [ 83; 378; 680 ]
+    (List.init 3 (fun _ -> Rng.int r 1000))
+
+type rng_op =
+  | R_int of int
+  | R_int_in_range of int * int
+  | R_unit_float
+  | R_float of float
+  | R_bool
+  | R_bits64
+  | R_bernoulli of float
+  | R_exponential of float
+  | R_geometric of float
+  | R_split
+  | R_copy
+
+let rng_op_gen =
+  QCheck.Gen.(
+    let bound =
+      frequency
+        [
+          (* Lemire path, the rejection pre-test and the modulo path. *)
+          (4, int_range 1 ((1 lsl 30) - 1));
+          (2, int_range 1 64);
+          (2, map (fun d -> (1 lsl 30) + d) (int_range (-3) 3));
+          (2, int_range ((1 lsl 30) + 1) max_int);
+          (1, map (fun k -> 1 lsl k) (int_range 0 61));
+        ]
+    in
+    let p = float_bound_inclusive 1. in
+    frequency
+      [
+        (4, map (fun b -> R_int b) bound);
+        (2, map2 (fun lo w -> R_int_in_range (lo, lo + w)) (int_range (-1000) 1000) (int_bound 5000));
+        (1, return R_unit_float);
+        (1, map (fun b -> R_float b) (float_bound_inclusive 1e6));
+        (1, return R_bool);
+        (1, return R_bits64);
+        (1, map (fun p -> R_bernoulli p) p);
+        (1, map (fun r -> R_exponential (r +. 1e-3)) (float_bound_inclusive 10.));
+        (1, map (fun p -> R_geometric (Float.max p 1e-3)) p);
+        (1, return R_split);
+        (1, return R_copy);
+      ])
+
+let rng_op_print = function
+  | R_int b -> Printf.sprintf "int %d" b
+  | R_int_in_range (lo, hi) -> Printf.sprintf "int_in_range %d..%d" lo hi
+  | R_unit_float -> "unit_float"
+  | R_float b -> Printf.sprintf "float %h" b
+  | R_bool -> "bool"
+  | R_bits64 -> "bits64"
+  | R_bernoulli p -> Printf.sprintf "bernoulli %h" p
+  | R_exponential r -> Printf.sprintf "exponential %h" r
+  | R_geometric p -> Printf.sprintf "geometric %h" p
+  | R_split -> "split"
+  | R_copy -> "copy"
+
+(* Drive [Rng] and [Ref_rng] through the same script.  Floats compare
+   bit for bit.  [split] continues on the child (after checking that the
+   parents agree); [copy] draws from the copies and continues on the
+   originals, so a copy that aliased its source would desynchronise the
+   two streams. *)
+let rng_matches_reference (seed, ops) =
+  let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let rec go r m = function
+    | [] -> Int64.equal (Rng.bits64 r) (Ref_rng.bits64 m)
+    | op :: rest ->
+        let ok =
+          match op with
+          | R_int b -> Rng.int r b = Ref_rng.int m b
+          | R_int_in_range (lo, hi) -> Rng.int_in_range r ~lo ~hi = Ref_rng.int_in_range m ~lo ~hi
+          | R_unit_float -> same_float (Rng.unit_float r) (Ref_rng.unit_float m)
+          | R_float b -> same_float (Rng.float r b) (Ref_rng.float m b)
+          | R_bool -> Rng.bool r = Ref_rng.bool m
+          | R_bits64 -> Int64.equal (Rng.bits64 r) (Ref_rng.bits64 m)
+          | R_bernoulli p -> Rng.bernoulli r ~p = Ref_rng.bernoulli m ~p
+          | R_exponential rate ->
+              same_float (Rng.exponential r ~rate) (Ref_rng.exponential m ~rate)
+          | R_geometric p -> Rng.geometric r ~p = Ref_rng.geometric m ~p
+          | R_split | R_copy -> true
+        in
+        ok
+        &&
+        match op with
+        | R_split ->
+            let r' = Rng.split r and m' = Ref_rng.split m in
+            Int64.equal (Rng.bits64 r) (Ref_rng.bits64 m) && go r' m' rest
+        | R_copy ->
+            let r' = Rng.copy r and m' = Ref_rng.copy m in
+            Rng.int r' 1000 = Ref_rng.int m' 1000
+            && Int64.equal (Rng.bits64 r') (Ref_rng.bits64 m')
+            && go r m rest
+        | _ -> go r m rest
+  in
+  go (Rng.create ~seed) (Ref_rng.create ~seed) ops
+
 (* ------------------------------------------------------------------ *)
 (* Sampling *)
 
@@ -525,6 +747,9 @@ let qcheck_tests =
         let mn = Array.fold_left Float.min infinity arr in
         let mx = Array.fold_left Float.max neg_infinity arr in
         v >= mn -. 1e-9 && v <= mx +. 1e-9);
+    Test.make ~name:"rng matches the 32-bit-halves reference stream" ~count:1000
+      (pair int (list_of_size Gen.(int_bound 80) (make ~print:rng_op_print rng_op_gen)))
+      rng_matches_reference;
     Test.make ~name:"common_prefix_length symmetric" ~count:500
       (pair small_int small_int)
       (fun (a, b) ->
@@ -571,6 +796,7 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "exponential positive" `Quick test_rng_exponential_positive;
           Alcotest.test_case "geometric" `Quick test_rng_geometric;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
         ] );
       ( "sampling",
         [
