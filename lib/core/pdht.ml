@@ -87,7 +87,7 @@ type t = {
   mutable net_rpc : (span:int option -> src:int -> dst:int -> bool) option;
   mutable net_cast : (span:int option -> src:int -> dst:int -> bool) option;
   mutable online : int -> bool;
-  mutable key_ttl : float;
+  key_ttl : float;
   (* Selection-policy hook.  [None] (the default, and the paper's
      behaviour) admits every resolved key and leases [key_ttl] — the
      exact pre-policy code path, so TTL-policy runs are bit-identical
@@ -110,13 +110,7 @@ let obs t = t.obs
 let set_online t f = t.online <- f
 let active_members t = t.config.Config.active_members
 let key_ttl t = t.key_ttl
-
-let set_key_ttl t ttl =
-  if not (ttl > 0.) then invalid_arg "Pdht.set_key_ttl: ttl must be positive";
-  t.key_ttl <- ttl
-
 let set_policy t policy = t.policy <- Some policy
-let clear_policy t = t.policy <- None
 
 (* Expiration lease for an insertion or query-hit refresh of a key. *)
 let lease t ~now ~key_index =

@@ -100,12 +100,9 @@ val set_transport : t -> rpc:(span:int option -> src:int -> dst:int -> bool) ->
     simulated network model is already attached — the two delivery
     paths are mutually exclusive. *)
 
-val set_key_ttl : t -> float -> unit
-(** Change the TTL used for subsequent insertions and refreshes (the
-    self-tuning extension's knob).  Only meaningful under
-    [Partial_index].  @raise Invalid_argument for non-positive TTLs. *)
-
 val key_ttl : t -> float
+(** The strategy's keyTtl: the lease every insertion and refresh gets
+    unless a {!policy} is installed. *)
 
 (** Selection-policy hook: gates index insertions and sets per-key
     expiration leases.  [admit] is consulted once per would-be
@@ -121,8 +118,6 @@ val set_policy : t -> policy -> unit
 (** Install a selection policy.  Without one (the default), every key
     is admitted with lease {!key_ttl} — the paper's behaviour, on the
     exact pre-policy code path. *)
-
-val clear_policy : t -> unit
 
 type answer_source = From_index | From_broadcast | Not_found
 

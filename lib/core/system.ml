@@ -375,28 +375,26 @@ let run ?obs ?driver scenario strategy options =
       ~dht:(Pdht.dht pdht) ~rng:maintenance_rng ~online:online_member
       ~metrics:(Pdht.metrics pdht) ~env ~interval:10.
   end;
-  (* Adaptive TTL controller (extension). *)
-  let adaptive =
-    if
-      Psel.equal options.selection_policy (Psel.Ttl Psel.Adaptive)
-      && Strategy.is_partial strategy
-    then begin
-      let controller = Adaptive.create () in
-      Adaptive.attach controller engine pdht ~every:(10. *. options.sample_every);
-      Some controller
-    end
-    else None
-  in
   (* Pluggable selection policy (extension): only the adaptive policies
-     instantiate a selector; [Ttl _] runs install no hook and keep the
-     exact pre-policy code path, so their reports stay byte-identical.
-     Selectors draw no randomness, preserving the determinism contract. *)
+     instantiate a selector; static [Ttl _] runs install no hook and keep
+     the exact pre-policy code path, so their reports stay
+     byte-identical.  Selectors draw no randomness, preserving the
+     determinism contract. *)
   let selector =
     if Psel.uses_selector options.selection_policy && Strategy.is_partial strategy
     then begin
-      let retune_every = 5. *. options.sample_every in
+      let retune_every =
+        Psel.retune_period options.selection_policy ~sample_every:options.sample_every
+      in
+      let probes =
+        {
+          Psel.maintenance_messages =
+            (fun () -> Metrics.count (Pdht.metrics pdht) Metrics.Maintenance);
+          indexed_keys = (fun ~now -> Pdht.indexed_key_count pdht ~now);
+        }
+      in
       let sel =
-        Psel.instantiate options.selection_policy
+        Psel.instantiate ~probes options.selection_policy
           ~params:(model_params scenario options)
           ~base_ttl:(Pdht.key_ttl pdht) ~retune_every
       in
@@ -415,6 +413,14 @@ let run ?obs ?driver scenario strategy options =
       Some sel
     end
     else None
+  in
+  (* The TTL in force for samples and the report: a [Ttl _] selector
+     leases one global TTL to every key; the per-key placements report
+     the TTL the run started with. *)
+  let key_ttl_now ~now =
+    match (selector, options.selection_policy) with
+    | Some sel, Psel.Ttl _ -> Psel.ttl_for sel ~now ~key_index:0
+    | _ -> Pdht.key_ttl pdht
   in
   let counters =
     {
@@ -492,13 +498,16 @@ let run ?obs ?driver scenario strategy options =
           | Some h ->
               Pdht_obs.Timeline.add tl ~now s_l (1000. *. Pdht_net.Hook.elapsed h)
           | None -> ()));
-      (match adaptive with
-      | Some controller -> Adaptive.note_query controller result
-      | None -> ());
       match selector with
       | Some sel ->
           Psel.observe sel ~now ~key_index
-            (Psel.Queried { hit = result.Pdht.source = Pdht.From_index })
+            (Psel.Queried
+               {
+                 hit = result.Pdht.source = Pdht.From_index;
+                 broadcast_messages = result.Pdht.broadcast_messages;
+                 index_messages =
+                   result.Pdht.index_messages + result.Pdht.replica_flood_messages;
+               })
       | None -> ()
       end);
   (* Update workload (article replacements). *)
@@ -535,7 +544,7 @@ let run ?obs ?driver scenario strategy options =
       in
       counters.samples_rev <-
         { time = now; hit_rate; messages = bucket_messages; indexed_keys;
-          key_ttl = Pdht.key_ttl pdht; queries = counters.bucket_queries; answer_rate }
+          key_ttl = key_ttl_now ~now; queries = counters.bucket_queries; answer_rate }
         :: counters.samples_rev;
       counters.bucket_queries <- 0;
       counters.bucket_hits <- 0;
@@ -745,7 +754,7 @@ let run ?obs ?driver scenario strategy options =
     strategy;
     duration = scenario.Scenario.duration;
     active_members;
-    key_ttl = Pdht.key_ttl pdht;
+    key_ttl = key_ttl_now ~now:scenario.Scenario.duration;
     queries = counters.queries;
     answered;
     from_index = counters.from_index;

@@ -14,13 +14,15 @@ type options = {
                                    it from a 1 msg/peer/s trace rate *)
   selection_policy : Pdht_policy.Selector.spec;
       (** what drives index selection (default [Ttl Model_derived] —
-          the paper's behaviour).  [Ttl _] specs run the original
-          global-TTL code path with no selector installed, so their
-          reports are byte-identical to the pre-policy system; the
-          adaptive specs ([Cost_optimal], [Learned], [Cache_budget])
+          the paper's behaviour).  The static [Ttl Model_derived] and
+          [Ttl (Fixed _)] specs run the original global-TTL code path
+          with no selector installed, so their reports are
+          byte-identical to the pre-policy system; the adaptive specs
+          ([Ttl Adaptive], [Cost_optimal], [Learned], [Cache_budget])
           install a {!Pdht_policy.Selector} that gates insertions and
-          sets per-key leases, and the report gains its [policy]
-          summary.  Only active under [Partial_index]. *)
+          sets leases, retuned every
+          {!Pdht_policy.Selector.retune_period}, and the report gains
+          its [policy] summary.  Only active under [Partial_index]. *)
   sample_every : float;        (** time-series bucket width, seconds *)
   sizing_slack : float;
       (** headroom multiplier on the model's [numActivePeers]: replica
@@ -107,7 +109,8 @@ type sample = {
                                  index in this bucket *)
   messages : int;            (** all messages in this bucket *)
   indexed_keys : int;        (** empirical Eq. 15 at the sample instant *)
-  key_ttl : float;           (** TTL in force (changes when adaptive) *)
+  key_ttl : float;           (** TTL in force (changes under
+                                 [Ttl Adaptive]) *)
   queries : int;             (** queries issued in this bucket *)
   answer_rate : float;       (** answered (index or broadcast) / queries
                                  in this bucket; 0. for an idle bucket *)
@@ -159,7 +162,9 @@ type report = {
   strategy : Strategy.t;
   duration : float;
   active_members : int;
-  key_ttl : float;            (** TTL at the end of the run *)
+  key_ttl : float;            (** TTL in force at the end of the run;
+                                  the starting TTL under the per-key
+                                  placements *)
   queries : int;
   answered : int;
   from_index : int;
@@ -188,7 +193,7 @@ type report = {
   policy : Pdht_policy.Selector.summary option;
       (** selection-policy snapshot; present exactly when the run
           installed a selector (an adaptive [selection_policy] under
-          [Partial_index]), [None] for [Ttl _] runs *)
+          [Partial_index]), [None] for static [Ttl _] runs *)
   timeline : Pdht_obs.Timeline.summary option;
       (** windowed time series; present exactly when
           [options.timeline_window] was set *)

@@ -58,10 +58,22 @@ let of_string s =
   match parsed with Ok spec -> validate spec | Error _ as e -> e
 
 let uses_selector = function
-  | Ttl _ -> false
-  | Cost_optimal | Learned | Cache_budget _ -> true
+  | Ttl (Model_derived | Fixed _) -> false
+  | Ttl Adaptive | Cost_optimal | Learned | Cache_budget _ -> true
 
-type event = Queried of { hit : bool } | Inserted | Rejected
+(* The Eq.-2 controller's cost window spans ten sample buckets; the
+   demand-driven placements refit twice as often. *)
+let retune_period spec ~sample_every =
+  match spec with
+  | Ttl _ -> 10. *. sample_every
+  | Cost_optimal | Learned | Cache_budget _ -> 5. *. sample_every
+
+type event =
+  | Queried of { hit : bool; broadcast_messages : int; index_messages : int }
+  | Inserted
+  | Rejected
+
+type probes = { maintenance_messages : unit -> int; indexed_keys : now:float -> int }
 
 type summary = {
   policy : string;
@@ -111,18 +123,96 @@ let clamp_ttl x = Float.max 1. (Float.min 1e7 x)
 let outside_ttl ~base_ttl ~retune_every =
   Float.max 1. (Float.min base_ttl (0.5 *. retune_every))
 
-module Ttl_selector = struct
-  type t = { lbl : string; ttl_now : unit -> float; c : Counters.t }
+module Adaptive_ttl = struct
+  let smoothing = 0.3
 
-  let create ~label:lbl ~ttl_now = { lbl; ttl_now; c = Counters.create () }
-  let observe t ~now:_ ~key_index:_ event = Counters.note t.c event
+  type t = {
+    probes : probes;
+    base_ttl : float;
+    c : Counters.t;
+    (* Observation window since the previous retune. *)
+    mutable broadcast_count : int;
+    mutable broadcast_messages : int;
+    mutable index_count : int;
+    mutable index_messages : int;
+    mutable last_maintenance : int;
+    mutable last_time : float;
+    mutable estimate : float option;
+  }
+
+  let create ~probes ~base_ttl =
+    {
+      probes;
+      base_ttl;
+      c = Counters.create ();
+      broadcast_count = 0;
+      broadcast_messages = 0;
+      index_count = 0;
+      index_messages = 0;
+      last_maintenance = 0;
+      last_time = 0.;
+      estimate = None;
+    }
+
+  let observe t ~now:_ ~key_index:_ event =
+    Counters.note t.c event;
+    match event with
+    | Queried { broadcast_messages; index_messages; _ } ->
+        if broadcast_messages > 0 then begin
+          t.broadcast_count <- t.broadcast_count + 1;
+          t.broadcast_messages <- t.broadcast_messages + broadcast_messages
+        end;
+        if index_messages > 0 then begin
+          t.index_count <- t.index_count + 1;
+          t.index_messages <- t.index_messages + index_messages
+        end
+    | Inserted | Rejected -> ()
+
   let admit _ ~now:_ ~key_index:_ = true
-  let ttl_for t ~now:_ ~key_index:_ = t.ttl_now ()
-  let retune t ~now:_ = t.c.Counters.retunes <- t.c.Counters.retunes + 1
+
+  let ttl_for t ~now:_ ~key_index:_ =
+    match t.estimate with Some ttl -> ttl | None -> t.base_ttl
+
+  (* Eq. 2 on the window: cSUnstr and cSIndx2 are the mean broadcast and
+     index-search (routing + replica flood) costs, cIndKey the
+     maintenance traffic per indexed key per second; keyTtl = 1/fMin.
+     [None] when the window cannot define all three. *)
+  let fit t ~now =
+    if t.broadcast_count = 0 || t.index_count = 0 then None
+    else begin
+      let c_s_unstr = float_of_int t.broadcast_messages /. float_of_int t.broadcast_count in
+      let c_s_indx2 = float_of_int t.index_messages /. float_of_int t.index_count in
+      let elapsed = now -. t.last_time in
+      let maintenance = t.probes.maintenance_messages () - t.last_maintenance in
+      let indexed = t.probes.indexed_keys ~now in
+      let denom = c_s_unstr -. c_s_indx2 in
+      if elapsed <= 0. || indexed = 0 || denom <= 0. then None
+      else
+        let c_ind_key = float_of_int maintenance /. elapsed /. float_of_int indexed in
+        let f_min = c_ind_key /. denom in
+        Some (clamp_ttl (if f_min > 0. then 1. /. f_min else infinity))
+    end
+
+  let retune t ~now =
+    t.c.Counters.retunes <- t.c.Counters.retunes + 1;
+    (match fit t ~now with
+    | None -> ()
+    | Some raw ->
+        t.estimate <-
+          Some
+            (match t.estimate with
+            | None -> raw
+            | Some prev -> ((1. -. smoothing) *. prev) +. (smoothing *. raw)));
+    t.broadcast_count <- 0;
+    t.broadcast_messages <- 0;
+    t.index_count <- 0;
+    t.index_messages <- 0;
+    t.last_maintenance <- t.probes.maintenance_messages ();
+    t.last_time <- now
 
   let summary t =
     {
-      policy = t.lbl;
+      policy = "ttl:adaptive";
       retunes = t.c.Counters.retunes;
       observed_queries = t.c.Counters.observed;
       admitted_inserts = t.c.Counters.admitted;
@@ -350,7 +440,9 @@ end
 
 type packed = Packed : (module SELECTOR with type t = 'a) * 'a -> packed
 
-let instantiate ?ttl_now spec ~params ~base_ttl ~retune_every =
+let no_probes = { maintenance_messages = (fun () -> 0); indexed_keys = (fun ~now:_ -> 0) }
+
+let instantiate ?(probes = no_probes) spec ~params ~base_ttl ~retune_every =
   if not (Float.is_finite base_ttl && base_ttl > 0.) then
     invalid_arg "Selector.instantiate: base_ttl must be finite and positive";
   if not (retune_every > 0.) then
@@ -359,11 +451,12 @@ let instantiate ?ttl_now spec ~params ~base_ttl ~retune_every =
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Selector.instantiate: " ^ msg));
   match spec with
-  | Ttl _ ->
-      let ttl_now = match ttl_now with Some f -> f | None -> fun () -> base_ttl in
+  | Ttl (Model_derived | Fixed _) ->
+      invalid_arg "Selector.instantiate: a static TTL installs no selector"
+  | Ttl Adaptive ->
       Packed
-        ( (module Ttl_selector : SELECTOR with type t = Ttl_selector.t),
-          Ttl_selector.create ~label:(label spec) ~ttl_now )
+        ( (module Adaptive_ttl : SELECTOR with type t = Adaptive_ttl.t),
+          Adaptive_ttl.create ~probes ~base_ttl )
   | Cost_optimal ->
       Packed
         ( (module Cost_optimal : SELECTOR with type t = Cost_optimal.t),

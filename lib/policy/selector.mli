@@ -17,11 +17,13 @@
     draw no randomness, so simulation reports remain pure functions of
     (scenario, strategy, options).
 
-    Four policies implement the interface:
-    - {!Ttl_selector} — the paper's behaviour (model-derived, fixed, or
-      adaptive TTL; the adaptive variant delegates to the existing
-      controller through a [ttl_now] thunk): admit everything, one
-      global TTL.
+    The paper's static TTL ([Ttl Model_derived], [Ttl (Fixed _)]) needs
+    no selector: the PDHT's global-TTL code path is that policy.  Four
+    adaptive policies implement the interface:
+    - {!Adaptive_ttl} — the paper's Section 5.1.1 future work: admit
+      everything under one global TTL, re-derived from live traffic by
+      Eq. 2 ("keyTtl can be calculated by estimating cSUnstr, cSIndx,
+      and cIndKey").
     - {!Cost_optimal} — re-solves the Eq. 1-2 fixed point online from
       the estimated live fQry and admits exactly the keys whose
       estimated query rate clears the resulting fMin threshold.
@@ -35,7 +37,8 @@
 type ttl_mode =
   | Model_derived  (** keyTtl = 1/fMin from the analytical model *)
   | Fixed of float (** explicit keyTtl in seconds *)
-  | Adaptive       (** the self-tuning Section 5.1.1 controller *)
+  | Adaptive       (** the self-tuning Section 5.1.1 controller,
+                       {!Adaptive_ttl} *)
 
 (** What drives index selection for a run. *)
 type spec =
@@ -61,18 +64,35 @@ val of_string : string -> (spec, string) result
 
 val uses_selector : spec -> bool
 (** [true] for the policies that need a live selector instance
-    ([Cost_optimal], [Learned], [Cache_budget]).  [Ttl _] runs use the
-    original global-TTL code path and need none. *)
+    ([Ttl Adaptive], [Cost_optimal], [Learned], [Cache_budget]).  The
+    static [Ttl Model_derived] and [Ttl (Fixed _)] runs use the original
+    global-TTL code path and need none. *)
+
+val retune_period : spec -> sample_every:float -> float
+(** Refit period a run drives the selector at, given its sample-bucket
+    width: [10 * sample_every] for [Ttl _] (the Eq.-2 controller's cost
+    window), [5 * sample_every] for the demand-driven placements. *)
 
 val validate : spec -> (spec, string) result
 (** Reject non-positive fixed TTLs and non-positive cache budgets. *)
 
 (** What a selector is told about a key. *)
 type event =
-  | Queried of { hit : bool }  (** a query for the key; [hit] = answered
-                                   from the index *)
-  | Inserted                   (** an index insertion was admitted *)
-  | Rejected                   (** an index insertion was declined *)
+  | Queried of { hit : bool; broadcast_messages : int; index_messages : int }
+      (** a query for the key: [hit] = answered from the index;
+          [broadcast_messages] = its broadcast-search cost (0 without a
+          broadcast); [index_messages] = its index routing plus replica
+          flood cost.  Only {!Adaptive_ttl} reads the costs. *)
+  | Inserted  (** an index insertion was admitted *)
+  | Rejected  (** an index insertion was declined *)
+
+(** What {!Adaptive_ttl} reads off the running system at each refit. *)
+type probes = {
+  maintenance_messages : unit -> int;
+      (** routing-maintenance messages sent so far (cumulative) *)
+  indexed_keys : now:float -> int;
+      (** distinct keys currently in the index (empirical Eq. 15) *)
+}
 
 (** Reporting snapshot, folded into the run report. *)
 type summary = {
@@ -106,9 +126,19 @@ module type SELECTOR = sig
   val summary : t -> summary
 end
 
-module Ttl_selector : sig
+module Adaptive_ttl : sig
   include SELECTOR
-  val create : label:string -> ttl_now:(unit -> float) -> t
+  val create : probes:probes -> base_ttl:float -> t
+  (** Admits every key and leases one global TTL: [base_ttl] until the
+      first productive {!SELECTOR.retune}, then the smoothed Eq.-2
+      estimate.  Each retune fits [keyTtl = 1/fMin] with
+      [fMin = cIndKey / (cSUnstr - cSIndx2)] over the window since the
+      previous retune: cSUnstr and cSIndx2 are the mean broadcast and
+      index-search costs of the window's [Queried] events, cIndKey the
+      window's maintenance messages per second per indexed key.  The fit
+      is clamped to [1, 1e7] seconds and folded in with EMA weight 0.3;
+      a window without broadcasts, index searches, elapsed time, indexed
+      keys or a positive cost gap keeps the previous TTL. *)
 end
 
 module Cost_optimal : sig
@@ -140,7 +170,7 @@ end
 type packed = Packed : (module SELECTOR with type t = 'a) * 'a -> packed
 
 val instantiate :
-  ?ttl_now:(unit -> float) ->
+  ?probes:probes ->
   spec ->
   params:Pdht_model.Params.t ->
   base_ttl:float ->
@@ -149,11 +179,12 @@ val instantiate :
 (** Build the selector for [spec].  [params] is the analytical-model
     view of the scenario (for the online Eq. 1-2 re-solve), [base_ttl]
     the TTL the run starts with (used until the first retune), and
-    [retune_every] the refit period the caller will drive retunes at.
-    [ttl_now] (default: constantly [base_ttl]) is only read by
-    [Ttl _] specs — it lets the adaptive controller keep ownership of
-    the global TTL.  @raise Invalid_argument on non-positive
-    [base_ttl]/[retune_every] or an invalid spec. *)
+    [retune_every] the refit period the caller will drive retunes at
+    (see {!retune_period}).  [probes] is only read by [Ttl Adaptive];
+    without it the controller sees no indexed keys and keeps
+    [base_ttl].  @raise Invalid_argument on non-positive
+    [base_ttl]/[retune_every], an invalid spec, or a static [Ttl _]
+    spec (those install no selector). *)
 
 val observe : packed -> now:float -> key_index:int -> event -> unit
 val admit : packed -> now:float -> key_index:int -> bool

@@ -1,9 +1,10 @@
 (** Pure RPC-lifecycle state machine: timeout, retry, exponential
     backoff, settle-once delivery.
 
-    This is the protocol core behind [Pdht_net.Rpc] (where the "clock"
-    is the simulator engine) and the process driver's timer wheel
-    (where it is [Unix.gettimeofday]).  The machine owns no clock and
+    This is the protocol core behind the process driver's timer wheel
+    (where the "clock" is [Unix.gettimeofday]); the simulator's
+    [Pdht_net.Hook] and the Kademlia dead-probe ladder charge the same
+    schedule.  The machine owns no clock and
     sends nothing: the driver feeds it events and interprets the
     returned action.  Attempt [k] (0-based) waits
     [timeout *. backoff ^ k] before expiring; after [retries]

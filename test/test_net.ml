@@ -1,17 +1,14 @@
 (* Tests for the network subsystem (Pdht_net): config parsing and
-   validation, link-model sampling and partitions, engine-scheduled
-   transport delivery, RPC timeout/retry/backoff semantics, the
-   synchronous query-path hook, and the system-level contracts — a
-   zero-cost net reproduces the no-net report field for field, and
-   net-enabled runs are byte-identical for any worker count (including
-   under popularity shifts and diurnal rate profiles). *)
+   validation, link-model sampling and partitions, the synchronous
+   query-path hook (per-hop RPC timeout/retry/backoff), and the
+   system-level contracts — a zero-cost net reproduces the no-net
+   report field for field, and net-enabled runs are byte-identical for
+   any worker count (including under popularity shifts and diurnal
+   rate profiles). *)
 
 module Rng = Pdht_util.Rng
-module Engine = Pdht_sim.Engine
 module Config = Pdht_net.Config
 module Link_model = Pdht_net.Link_model
-module Transport = Pdht_net.Transport
-module Rpc = Pdht_net.Rpc
 module Hook = Pdht_net.Hook
 module Registry = Pdht_obs.Registry
 module Histogram = Pdht_obs.Histogram
@@ -168,109 +165,6 @@ let test_partition_window () =
     (Link_model.drops lm rng ~src:0 ~dst:5 ~now:15.);
   Alcotest.(check bool) "no draw for partition drop" true
     (Rng.bits64 rng = Rng.bits64 probe)
-
-(* ------------------------------------------------------------------ *)
-(* Transport *)
-
-let transport_with ?(seed = 7) cfg =
-  let obs = Pdht_obs.Context.create () in
-  let engine = Engine.create () in
-  let rng = Rng.create ~seed in
-  let t = Transport.create ~obs ~engine ~rng (Link_model.create cfg) in
-  (obs, engine, t)
-
-let test_transport_delivery () =
-  let obs, engine, t =
-    transport_with { Config.default with Config.latency = Config.Constant 0.25; loss = 0. }
-  in
-  let arrived = ref nan in
-  let accepted =
-    Transport.send t ~src:1 ~dst:2 (fun e -> arrived := Engine.now e)
-  in
-  Alcotest.(check bool) "send accepted" true accepted;
-  Alcotest.(check bool) "not delivered before run" true (Float.is_nan !arrived);
-  Engine.run engine ~until:10.;
-  Alcotest.check feq "delivered after one latency" 0.25 !arrived;
-  Alcotest.(check int) "sent" 1 (counter obs "net.messages_sent");
-  Alcotest.(check int) "dropped" 0 (counter obs "net.messages_dropped")
-
-let test_transport_drop () =
-  let obs, engine, t = transport_with { Config.default with Config.loss = 1.0 } in
-  let delivered = ref false in
-  let accepted = Transport.send t ~src:1 ~dst:2 (fun _ -> delivered := true) in
-  Alcotest.(check bool) "send refused" false accepted;
-  Engine.run engine ~until:10.;
-  Alcotest.(check bool) "never delivered" false !delivered;
-  Alcotest.(check int) "sent" 1 (counter obs "net.messages_sent");
-  Alcotest.(check int) "dropped" 1 (counter obs "net.messages_dropped")
-
-(* ------------------------------------------------------------------ *)
-(* Rpc *)
-
-let test_rpc_success () =
-  let obs, engine, t =
-    transport_with
-      { Config.default with
-        Config.latency = Config.Constant 0.25; loss = 0.;
-        rpc_timeout = 1.0; rpc_retries = 3; backoff = 2.0 }
-  in
-  let rpc = Rpc.create t in
-  let handler_at = ref nan and reply = ref None in
-  Rpc.call rpc ~src:1 ~dst:2
-    ~handler:(fun () -> handler_at := Engine.now (Transport.engine t); true)
-    ~on_reply:(fun ~ok e -> reply := Some (ok, Engine.now e));
-  Engine.run engine ~until:60.;
-  Alcotest.check feq "request arrives after one leg" 0.25 !handler_at;
-  (match !reply with
-  | Some (true, at) -> Alcotest.check feq "reply after the round trip" 0.5 at
-  | Some (false, _) -> Alcotest.fail "rpc failed on a loss-free link"
-  | None -> Alcotest.fail "rpc never settled");
-  Alcotest.(check int) "request + response" 2 (counter obs "net.messages_sent");
-  Alcotest.(check int) "no retries" 0 (counter obs "net.messages_retried");
-  Alcotest.(check int) "no timeouts" 0 (counter obs "net.messages_timed_out")
-
-let test_rpc_all_lost () =
-  let obs, engine, t =
-    transport_with
-      { Config.default with
-        Config.loss = 1.0; rpc_timeout = 1.0; rpc_retries = 2; backoff = 2.0 }
-  in
-  let rpc = Rpc.create t in
-  let reply = ref None in
-  Rpc.call rpc ~src:1 ~dst:2
-    ~handler:(fun () -> true)
-    ~on_reply:(fun ~ok e -> reply := Some (ok, Engine.now e));
-  Engine.run engine ~until:60.;
-  (match !reply with
-  | Some (false, at) ->
-      (* Attempt timeouts 1 + 2 + 4 elapse before the caller gives up. *)
-      Alcotest.check feq "gives up after the backoff ladder" 7.0 at
-  | Some (true, _) -> Alcotest.fail "rpc succeeded on a fully lossy link"
-  | None -> Alcotest.fail "rpc never settled");
-  Alcotest.(check int) "one request per attempt" 3 (counter obs "net.messages_sent");
-  Alcotest.(check int) "retried" 2 (counter obs "net.messages_retried");
-  Alcotest.(check int) "timed out" 1 (counter obs "net.messages_timed_out")
-
-let test_rpc_handler_refuses () =
-  let obs, engine, t =
-    transport_with
-      { Config.default with
-        Config.latency = Config.Constant 0.1; loss = 0.;
-        rpc_timeout = 1.0; rpc_retries = 1; backoff = 2.0 }
-  in
-  let rpc = Rpc.create t in
-  let handler_calls = ref 0 and reply = ref None in
-  Rpc.call rpc ~src:1 ~dst:2
-    ~handler:(fun () -> incr handler_calls; false)
-    ~on_reply:(fun ~ok e -> reply := Some (ok, Engine.now e));
-  Engine.run engine ~until:60.;
-  Alcotest.(check int) "handler ran on every delivered attempt" 2 !handler_calls;
-  (match !reply with
-  | Some (false, at) -> Alcotest.check feq "settled by the final timeout" 3.0 at
-  | Some (true, _) -> Alcotest.fail "a refusing peer produced a success"
-  | None -> Alcotest.fail "rpc never settled");
-  Alcotest.(check int) "requests only, no responses" 2 (counter obs "net.messages_sent");
-  Alcotest.(check int) "timed out" 1 (counter obs "net.messages_timed_out")
 
 (* ------------------------------------------------------------------ *)
 (* Hook *)
@@ -502,17 +396,6 @@ let () =
           Alcotest.test_case "lognormal positive" `Quick test_lognormal_positive;
           Alcotest.test_case "loss 1 drops all" `Quick test_loss_one_drops_all;
           Alcotest.test_case "partition window" `Quick test_partition_window;
-        ] );
-      ( "transport",
-        [
-          Alcotest.test_case "engine-scheduled delivery" `Quick test_transport_delivery;
-          Alcotest.test_case "drop" `Quick test_transport_drop;
-        ] );
-      ( "rpc",
-        [
-          Alcotest.test_case "success" `Quick test_rpc_success;
-          Alcotest.test_case "all attempts lost" `Quick test_rpc_all_lost;
-          Alcotest.test_case "handler refuses" `Quick test_rpc_handler_refuses;
         ] );
       ( "hook",
         [

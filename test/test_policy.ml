@@ -1,6 +1,7 @@
 (* Selection-policy tests: the spec grammar (exact round-trips plus
-   qcheck properties), the per-key frequency estimator, and the
-   admission behaviour of the three adaptive selectors. *)
+   qcheck properties), the per-key frequency estimator, the admission
+   behaviour of the demand-driven selectors, and the Eq.-2 keyTtl
+   controller behind [ttl:adaptive]. *)
 
 module Sel = Pdht_policy.Selector
 module Freq = Pdht_policy.Freq
@@ -143,7 +144,8 @@ let test_freq_live_rate () =
 
 let feed_queries sel ~now ~key_index ~n =
   for _ = 1 to n do
-    Sel.observe sel ~now ~key_index (Sel.Queried { hit = false })
+    Sel.observe sel ~now ~key_index
+      (Sel.Queried { hit = false; broadcast_messages = 0; index_messages = 0 })
   done
 
 let test_cost_optimal_thresholds () =
@@ -190,16 +192,25 @@ let test_cache_budget_respects_budget () =
   Alcotest.(check bool) "rank-4 out" false (Sel.admit packed ~now:310. ~key_index:3)
 
 let test_ttl_selector_is_transparent () =
-  let ttl = ref 321. in
   let packed =
-    Sel.instantiate (Sel.Ttl Sel.Adaptive) ~ttl_now:(fun () -> !ttl) ~params ~base_ttl:600.
-      ~retune_every:300.
+    Sel.instantiate (Sel.Ttl Sel.Adaptive) ~params ~base_ttl:600. ~retune_every:300.
   in
+  Alcotest.(check bool) "installs a selector" true (Sel.uses_selector (Sel.Ttl Sel.Adaptive));
+  Alcotest.(check bool) "static ttl installs none" false
+    (Sel.uses_selector (Sel.Ttl (Sel.Fixed 30.)));
   Alcotest.(check bool) "always admits" true (Sel.admit packed ~now:5. ~key_index:9);
-  Alcotest.(check (float 1e-9)) "delegates ttl" 321. (Sel.ttl_for packed ~now:5. ~key_index:9);
-  ttl := 42.;
-  Alcotest.(check (float 1e-9)) "tracks controller" 42.
-    (Sel.ttl_for packed ~now:6. ~key_index:9)
+  Alcotest.(check (float 1e-9)) "starts at base ttl" 600.
+    (Sel.ttl_for packed ~now:5. ~key_index:9);
+  Sel.observe packed ~now:6. ~key_index:9
+    (Sel.Queried { hit = false; broadcast_messages = 80; index_messages = 3 });
+  Sel.retune packed ~now:300.;
+  (* Without probes the index looks empty: the controller cannot fit. *)
+  Alcotest.(check (float 1e-9)) "no probes, no refit" 600.
+    (Sel.ttl_for packed ~now:301. ~key_index:3);
+  let s = Sel.summary packed in
+  Alcotest.(check string) "label" "ttl:adaptive" s.Sel.policy;
+  Alcotest.(check int) "unbounded target" (-1) s.Sel.target_keys;
+  Alcotest.(check int) "retunes" 1 s.Sel.retunes
 
 let test_instantiate_validates () =
   Alcotest.check_raises "bad base_ttl"
@@ -211,7 +222,12 @@ let test_instantiate_validates () =
       ignore (Sel.instantiate Sel.Cost_optimal ~params ~base_ttl:600. ~retune_every:0.));
   Alcotest.check_raises "bad spec"
     (Invalid_argument "Selector.instantiate: cache budget 0 must be >= 1") (fun () ->
-      ignore (Sel.instantiate (Sel.Cache_budget 0) ~params ~base_ttl:600. ~retune_every:300.))
+      ignore (Sel.instantiate (Sel.Cache_budget 0) ~params ~base_ttl:600. ~retune_every:300.));
+  Alcotest.check_raises "static ttl"
+    (Invalid_argument "Selector.instantiate: a static TTL installs no selector") (fun () ->
+      ignore
+        (Sel.instantiate (Sel.Ttl Sel.Model_derived) ~params ~base_ttl:600.
+           ~retune_every:300.))
 
 let test_summary_counters () =
   let packed = Sel.instantiate Sel.Learned ~params ~base_ttl:600. ~retune_every:300. in
@@ -226,6 +242,98 @@ let test_summary_counters () =
   Alcotest.(check int) "admitted" 1 s.Sel.admitted_inserts;
   Alcotest.(check int) "rejected" 1 s.Sel.rejected_inserts;
   Alcotest.(check int) "retunes" 2 s.Sel.retunes
+
+(* --- adaptive TTL (Section 5.1.1) --------------------------------- *)
+
+(* The controller reads maintenance traffic and the index size off the
+   running system; these refs stand in for it. *)
+let adaptive_with ~maintenance ~indexed =
+  let probes =
+    {
+      Sel.maintenance_messages = (fun () -> !maintenance);
+      indexed_keys = (fun ~now:_ -> !indexed);
+    }
+  in
+  let spec = Sel.Ttl Sel.Adaptive in
+  Sel.instantiate ~probes spec ~params ~base_ttl:600.
+    ~retune_every:(Sel.retune_period spec ~sample_every:10.)
+
+(* [n] misses (an 80-message broadcast after a 3-message index search)
+   and [n] hits (the index search alone): cSUnstr = 80, cSIndx2 = 3. *)
+let feed_traffic sel ~now ~n =
+  for k = 0 to n - 1 do
+    Sel.observe sel ~now ~key_index:k
+      (Sel.Queried { hit = false; broadcast_messages = 80; index_messages = 3 });
+    Sel.observe sel ~now ~key_index:k
+      (Sel.Queried { hit = true; broadcast_messages = 0; index_messages = 3 })
+  done
+
+let ttl sel = Sel.ttl_for sel ~now:0. ~key_index:0
+
+let test_adaptive_needs_data () =
+  let sel = adaptive_with ~maintenance:(ref 500) ~indexed:(ref 31) in
+  Sel.retune sel ~now:10.;
+  Alcotest.(check (float 1e-9)) "no data, no tune" 600. (ttl sel);
+  (* Broadcasts alone leave cSIndx2 undefined. *)
+  Sel.observe sel ~now:12. ~key_index:1
+    (Sel.Queried { hit = false; broadcast_messages = 80; index_messages = 0 });
+  Sel.retune sel ~now:20.;
+  Alcotest.(check (float 1e-9)) "one cost alone, no tune" 600. (ttl sel)
+
+let test_adaptive_produces_estimate () =
+  let maintenance = ref 500 and indexed = ref 31 in
+  let sel = adaptive_with ~maintenance ~indexed in
+  feed_traffic sel ~now:50. ~n:31;
+  Sel.retune sel ~now:100.;
+  (* cIndKey = 500 / 100 s / 31 keys; fMin = cIndKey / (80 - 3);
+     keyTtl = 1 / fMin = 77 * 31 * 100 / 500. *)
+  let first = 77. *. 31. *. 100. /. 500. in
+  Alcotest.(check (float 1e-9)) "Eq. 2 fit" first (ttl sel);
+  Alcotest.(check (float 1e-9)) "one ttl for every key" first
+    (Sel.ttl_for sel ~now:101. ~key_index:999);
+  (* The next window doubles the index at the same maintenance rate:
+     the raw fit doubles and the 0.3 EMA moves part of the way. *)
+  maintenance := 1000;
+  indexed := 62;
+  feed_traffic sel ~now:150. ~n:31;
+  Sel.retune sel ~now:200.;
+  Alcotest.(check (float 1e-9)) "smoothed"
+    ((0.7 *. first) +. (0.3 *. (2. *. first)))
+    (ttl sel)
+
+let test_adaptive_retune_empty_window () =
+  let sel = adaptive_with ~maintenance:(ref 500) ~indexed:(ref 31) in
+  feed_traffic sel ~now:50. ~n:31;
+  Sel.retune sel ~now:100.;
+  let before = ttl sel in
+  Alcotest.(check bool) "primed retune fits" true (before <> 600.);
+  (* The retune reset the observation window: with nothing new observed
+     the next retune must decline rather than divide by an empty
+     window, and the previous estimate must survive. *)
+  Sel.retune sel ~now:200.;
+  Alcotest.(check (float 1e-9)) "estimate survives" before (ttl sel);
+  Alcotest.(check int) "both retunes counted" 2 (Sel.summary sel).Sel.retunes
+
+let test_adaptive_retune_no_index () =
+  (* Costs observed, but the index is empty: cIndKey per indexed key is
+     undefined, so no tune. *)
+  let sel = adaptive_with ~maintenance:(ref 500) ~indexed:(ref 0) in
+  feed_traffic sel ~now:50. ~n:31;
+  Sel.retune sel ~now:100.;
+  Alcotest.(check (float 1e-9)) "no indexed keys, no tune" 600. (ttl sel)
+
+let test_adaptive_retune_clamps_to_max () =
+  (* No maintenance traffic: fMin = 0 and 1/fMin is unbounded; only the
+     clamp keeps the lease finite. *)
+  let sel = adaptive_with ~maintenance:(ref 0) ~indexed:(ref 31) in
+  feed_traffic sel ~now:50. ~n:31;
+  Sel.retune sel ~now:100.;
+  Alcotest.(check (float 0.)) "clamped to 1e7" 1e7 (ttl sel);
+  (* And a maintenance storm drives the fit below the one-second floor. *)
+  let storm = adaptive_with ~maintenance:(ref 100_000_000) ~indexed:(ref 1) in
+  feed_traffic storm ~now:50. ~n:31;
+  Sel.retune storm ~now:100.;
+  Alcotest.(check (float 0.)) "clamped to 1" 1. (ttl storm)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_print_parse_round_trip; prop_parse_print_idempotent;
@@ -253,5 +361,13 @@ let () =
           Alcotest.test_case "ttl transparent" `Quick test_ttl_selector_is_transparent;
           Alcotest.test_case "instantiate validates" `Quick test_instantiate_validates;
           Alcotest.test_case "summary counters" `Quick test_summary_counters;
+        ] );
+      ( "adaptive",
+        [
+          Alcotest.test_case "needs data" `Quick test_adaptive_needs_data;
+          Alcotest.test_case "produces estimate" `Quick test_adaptive_produces_estimate;
+          Alcotest.test_case "empty window declines" `Quick test_adaptive_retune_empty_window;
+          Alcotest.test_case "no index declines" `Quick test_adaptive_retune_no_index;
+          Alcotest.test_case "clamps to max" `Quick test_adaptive_retune_clamps_to_max;
         ] );
     ]

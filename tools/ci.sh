@@ -88,6 +88,9 @@ diff "$pol/ttl-report.txt" test/golden/default_policy_report.txt
 dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 400 \
   --policy cost > "$pol/cost-report.txt"
 grep -q 'policy: cost' "$pol/cost-report.txt"
+dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 400 \
+  --policy ttl:adaptive > "$pol/adaptive-report.txt"
+grep -q 'policy: ttl:adaptive' "$pol/adaptive-report.txt"
 
 echo "== parallel determinism =="
 # The runner's contract: any --jobs value yields byte-identical output.
